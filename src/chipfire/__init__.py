@@ -1,7 +1,9 @@
 """Chip-firing divisor theory on finite multigraphs.
 
-Core objects: Multigraph and Divisor; complete linear systems via exact
-Fourier-Motzkin bounding and lattice enumeration; Baker-Norine rank with
+Core objects: Multigraph and Divisor; complete linear systems via
+Baker-Norine greedy reduction to one effective representative plus a
+breadth-first walk over effective subset firings (O(|D| * 2^n * n) time,
+memory per step bounded by a fixed element budget); Baker-Norine rank with
 failing-removal witnesses; toric rank over a generic graph curve decided
 by finite-field node-constraint matrices; and seeded experiment drivers
 with reproducible reports.
@@ -26,12 +28,8 @@ from .graphs import (
 )
 from .linsys import (
     FiringVector,
-    HalfspaceSystem,
-    InfeasibleSystemError,
     LinearSystem,
-    UnboundedPolytopeError,
     apply_firing,
-    fm_bounds,
     is_effective_equivalent,
     linear_system,
 )
@@ -96,12 +94,8 @@ __all__ = [
     "specialize",
     # linear systems
     "FiringVector",
-    "HalfspaceSystem",
-    "InfeasibleSystemError",
     "LinearSystem",
-    "UnboundedPolytopeError",
     "apply_firing",
-    "fm_bounds",
     "is_effective_equivalent",
     "linear_system",
     # rank

@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Single-case verifiers print one JSON object on stdout; sweep drivers
-write a report file and print the summary JSON on stdout.  Exit code 0
-means every checked identity held, 1 means a violation was found (the
-reproducer is dumped to stderr), 2 means the configuration or I/O was
-bad.  Wall-clock timing goes to stderr only, so stdout and report files
+write a report file and print the summary JSON on stdout.  Exit codes:
+
+* 0: every checked identity held;
+* 1: a violation was found (the reproducer is dumped to stderr);
+* 2: bad input: configuration, graph file, divisor, placement or I/O;
+* 3: internal error, any other exception; its traceback goes to stderr.
+
+Wall-clock timing goes to stderr only, so stdout and report files
 are byte-stable for a fixed seed.
 
 Graph files are JSON: either {"adj": [[...]]} (optionally with "n") or a
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .experiments import (
     ConfigError,
@@ -48,14 +53,14 @@ def _load_graph(path: str) -> Multigraph:
         if "adj" not in data:
             raise ConfigError(f"graph file {path} has no 'adj' key")
         adj = data["adj"]
-        if "n" in data and data["n"] != len(adj):
-            raise ConfigError(
-                f"graph file {path}: 'n'={data['n']} but adjacency has {len(adj)} rows"
-            )
     elif isinstance(data, list):
         adj = data
     else:
         raise ConfigError(f"graph file {path} must hold an object or a matrix")
+    if not isinstance(adj, list) or not all(isinstance(row, list) for row in adj):
+        raise ConfigError(f"graph file {path}: adjacency must be a list of rows")
+    if isinstance(data, dict) and "n" in data and data["n"] != len(adj):
+        raise ConfigError(f"graph file {path}: 'n'={data['n']} but adjacency has {len(adj)} rows")
     return Multigraph.from_adjacency(adj)
 
 
@@ -70,13 +75,16 @@ def _parse_divisor(text: str, n: int) -> Divisor:
 
 
 def _toric_config(args: argparse.Namespace) -> ToricConfig:
-    return ToricConfig(
-        prime=DEFAULT_PRIME if args.prime is None else args.prime,
-        trials=args.trials,
-        mode=args.mode,
-        seed=args.seed,
-        nonzero_entries=args.nonzero_entries,
-    )
+    try:
+        return ToricConfig(
+            prime=DEFAULT_PRIME if args.prime is None else args.prime,
+            trials=args.trials,
+            mode=args.mode,
+            seed=args.seed,
+            nonzero_entries=args.nonzero_entries,
+        )
+    except ValueError as exc:  # --prime, --trials: bad input, not a crash
+        raise ConfigError(str(exc)) from exc
 
 
 def _emit(obj: dict) -> None:
@@ -281,12 +289,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidGraphError, PlacementError) as exc:
+    except (ConfigError, InvalidGraphError, PlacementError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def run() -> None:

@@ -270,7 +270,8 @@ def _degree_class_canonical(adj: tuple[tuple[int, ...], ...]) -> tuple[tuple[int
             rec(gi + 1, prefix + list(perm))
 
     rec(0, [])
-    assert best is not None
+    if best is None:
+        raise RuntimeError("canonical form search tried no permutation")
     return best
 
 

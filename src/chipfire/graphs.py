@@ -13,6 +13,7 @@ components, and ``specialize`` converts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -48,12 +49,16 @@ class PlacementError(ValueError):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Integer chip assignment on the vertices of a graph."""
+    """Integer chip assignment on the vertices of a graph.
+
+    Coefficients must be integers (numpy integers included); anything
+    else, such as 1.5, raises TypeError instead of being truncated.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(operator.index(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -118,7 +123,7 @@ def _validate_adjacency(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
         if len(row) != n:
             raise InvalidGraphError(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, (int, np.integer)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise InvalidGraphError(f"entry ({i}, {j}) is not an integer: {v!r}")
             if v < 0:
                 raise InvalidGraphError(f"entry ({i}, {j}) is negative")

@@ -3,34 +3,32 @@
 A firing vector f assigns an integer to each vertex; positive values
 borrow (the vertex takes one chip from each neighbor per unit), negative
 values lend.  The group action is ``D + L f`` with L the Laplacian.  The
-complete linear system |D| is the set of effective divisors reachable
-from D, enumerated exactly:
+complete linear system |D| is the set of effective divisors equivalent
+to D, computed exactly in two steps:
 
-1. short-circuit when the total degree is negative,
-2. pin f[0] = 0 (for connected G the Laplacian kernel is the constants,
-   so each equivalence move has exactly one representative with f[0] = 0),
-3. describe the firing polytope {f : L f >= -D, f[0] = 0} as a halfspace
-   system over the remaining n - 1 coordinates,
-4. bound each coordinate by exact rational Fourier-Motzkin elimination,
-5. walk the integer box and keep the effective results.
+1. Reduction.  Baker-Norine's greedy algorithm finds one effective
+   representative or proves there is none: a vertex in debt borrows, and
+   D is unwinnable once every vertex has borrowed (negative degree is
+   rejected up front).
+2. Walk.  Breadth-first search from that representative over the
+   2^n - 2 proper nonempty subset firings, keeping effective results
+   only.  This reaches all of |D| (van Dobben de Bruyn-Gijswijt): if E
+   and E' = E - L f are both effective and f is not constant, let S be
+   the set where f is largest.  Each v in S holds E(v) >= (L f)(v) chips,
+   at least one per edge leaving S, so firing S from E stays effective,
+   and it leaves E' = E - L 1_S - L (f - 1_S) with max f - min f smaller
+   by one.
 
-The polytope in step 3 is bounded: its recession cone is
-{f : L f >= 0, f[0] = 0}, and L f >= 0 forces f constant because the
-entries of L f sum to zero, so the cone is {0}.  Unbounded coordinates
-can therefore only appear for inputs that do not come from a connected
-Laplacian, and they raise ``UnboundedPolytopeError``.
-
-Everything here is exact integer / rational arithmetic; no floating
-point is involved at any step.
+The walk costs O(|D| * 2^n * n) time.  Frontier and subset table are
+processed in chunks, so no candidate block holds more than
+``_ELEMENT_BUDGET`` entries.  All arithmetic is on integers.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,12 +36,8 @@ from .graphs import Divisor, DivisorLike, Multigraph, _coerce_divisor, degree, l
 
 __all__ = [
     "FiringVector",
-    "HalfspaceSystem",
     "LinearSystem",
-    "UnboundedPolytopeError",
-    "InfeasibleSystemError",
     "apply_firing",
-    "fm_bounds",
     "linear_system",
     "is_effective_equivalent",
 ]
@@ -51,48 +45,6 @@ __all__ = [
 # A firing vector is any length-n integer sequence; no wrapper class is
 # needed beyond length validation at the point of use.
 FiringVector = Sequence[int]
-
-
-class UnboundedPolytopeError(ValueError):
-    """A coordinate of the halfspace system has no finite bound."""
-
-    def __init__(self, coordinate: int, side: str):
-        self.coordinate = coordinate
-        self.side = side
-        super().__init__(f"coordinate {coordinate} unbounded {side}")
-
-
-class InfeasibleSystemError(ValueError):
-    """The halfspace system has no real solutions."""
-
-
-@dataclass(frozen=True)
-class HalfspaceSystem:
-    """Inequalities ``row . x >= bound`` with exact rational data."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-    bounds: tuple[Fraction, ...]
-    dim: int
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.rows)
-        bounds = tuple(Fraction(b) for b in self.bounds)
-        if len(rows) != len(bounds):
-            raise ValueError("row/bound count mismatch")
-        for row in rows:
-            if len(row) != self.dim:
-                raise ValueError(f"row of length {len(row)} in dimension {self.dim}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "bounds", bounds)
-
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[Sequence[int | Fraction]], bounds: Iterable[int | Fraction]
-    ) -> "HalfspaceSystem":
-        rows = tuple(tuple(r) for r in rows)
-        bounds = tuple(bounds)
-        dim = len(rows[0]) if rows else 0
-        return cls(rows, bounds, dim)
 
 
 def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
@@ -107,120 +59,6 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
         raise ValueError(f"firing vector has {len(f)} entries, graph has {G.n} vertices")
     moved = laplacian(G) @ np.array(f, dtype=np.int64)
     return Divisor(tuple(int(c) + int(m) for c, m in zip(D.coeffs, moved)))
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
-# ---------------------------------------------------------------------------
-#
-# Internally rows are scaled to integer coefficient vectors with Fraction
-# bounds.  Combining a row with positive coefficient a and one with
-# negative coefficient b at the pivot uses the positive multipliers (-b)
-# and a, which keeps coefficients integral.  Each derived row is divided
-# by the gcd of its coefficients and redundant rows are pruned by pairwise
-# dominance only: equal coefficient vectors keep the largest bound.
-
-
-def _integerize(system: HalfspaceSystem) -> list[tuple[tuple[int, ...], Fraction]]:
-    rows = []
-    for row, bound in zip(system.rows, system.bounds):
-        scale = 1
-        for c in row:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        coefs = tuple(int(c * scale) for c in row)
-        rows.append((coefs, bound * scale))
-    return rows
-
-
-def _normalize(coefs: tuple[int, ...], bound: Fraction) -> tuple[tuple[int, ...], Fraction] | None:
-    """Divide by the gcd of the coefficients; return None for constant rows
-    (raising if the constant row is contradictory)."""
-    g = 0
-    for c in coefs:
-        g = gcd(g, abs(c))
-    if g == 0:
-        if bound > 0:
-            raise InfeasibleSystemError(f"derived contradiction 0 >= {bound}")
-        return None
-    if g > 1:
-        coefs = tuple(c // g for c in coefs)
-        bound = bound / g
-    return coefs, bound
-
-
-def _prune(rows: Iterable[tuple[tuple[int, ...], Fraction]]) -> list[tuple[tuple[int, ...], Fraction]]:
-    best: dict[tuple[int, ...], Fraction] = {}
-    for coefs, bound in rows:
-        cur = best.get(coefs)
-        if cur is None or bound > cur:
-            best[coefs] = bound
-    return list(best.items())
-
-
-def _eliminate(rows: list[tuple[tuple[int, ...], Fraction]], var: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    pos, neg, keep = [], [], []
-    for coefs, bound in rows:
-        c = coefs[var]
-        if c > 0:
-            pos.append((coefs, bound))
-        elif c < 0:
-            neg.append((coefs, bound))
-        else:
-            keep.append((coefs, bound))
-    out = keep
-    for ac, ab in pos:
-        a = ac[var]
-        for bc, bb in neg:
-            b = bc[var]
-            coefs = tuple(x * (-b) + y * a for x, y in zip(ac, bc))
-            bound = ab * (-b) + bb * a
-            norm = _normalize(coefs, bound)
-            if norm is not None:
-                out.append(norm)
-    return _prune(out)
-
-
-def _exact_interval(
-    rows: list[tuple[tuple[int, ...], Fraction]], dim: int, target: int
-) -> tuple[Fraction, Fraction]:
-    """Project the polyhedron onto coordinate ``target``."""
-    for var in range(dim):
-        if var != target:
-            rows = _eliminate(rows, var)
-    lo = None
-    hi = None
-    for coefs, bound in rows:
-        c = coefs[target]
-        if c > 0:  # c*x >= b  ->  x >= b/c
-            v = bound / c
-            lo = v if lo is None or v > lo else lo
-        elif c < 0:  # c*x >= b  ->  x <= b/c
-            v = bound / c
-            hi = v if hi is None or v < hi else hi
-    if lo is None:
-        raise UnboundedPolytopeError(target, "below")
-    if hi is None:
-        raise UnboundedPolytopeError(target, "above")
-    if lo > hi:
-        raise InfeasibleSystemError(f"empty projection on coordinate {target}")
-    return lo, hi
-
-
-def fm_bounds(system: HalfspaceSystem) -> list[tuple[int, int]]:
-    """Integer bounding box of the polyhedron, one (lo, hi) per coordinate.
-
-    Each exact rational endpoint is truncated toward zero (floor for
-    nonnegative values, ceiling for negative ones), applied to the minimum
-    and the maximum alike.  The rounding is conservative: no integer point
-    of the polyhedron falls outside the box, though the box may contain
-    spurious non-solutions, which callers filter afterwards.
-    """
-    base = _prune(r for r in (_normalize(c, b) for c, b in _integerize(system)) if r is not None)
-    out = []
-    for k in range(system.dim):
-        lo, hi = _exact_interval(list(base), system.dim, k)
-        out.append((int(lo), int(hi)))  # int() on Fraction truncates toward zero
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,46 +210,75 @@ _MEMBER_LOCK = threading.Lock()
 _MEMBER_CACHE: dict[tuple, tuple[tuple["Divisor", ...], np.ndarray]] = {}
 _MEMBER_CACHE_LIMIT = 1 << 15
 
-_ENUM_CHUNK = 1 << 18
+# Largest number of entries in one broadcast block, for the member walk
+# here and the domination tests of rank and toric_rank.
+_ELEMENT_BUDGET = 1 << 20
 
 
-def _box_points(box: list[tuple[int, int]]) -> Iterable[np.ndarray]:
-    """Integer points of the box in lexicographic order, in chunks."""
-    sizes = [hi - lo + 1 for lo, hi in box]
-    if any(s <= 0 for s in sizes):
-        return
-    total = 1
-    for s in sizes:
-        total *= s
-    lows = np.array([lo for lo, _ in box], dtype=np.int64)
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total))
-        coords = np.unravel_index(idx, sizes)
-        yield np.stack(coords, axis=1).astype(np.int64) + lows
+def _effective_representative(L: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """One effective divisor equivalent to d, or None when there is none.
+
+    Baker-Norine greedy algorithm.  A debtor borrows as many times as its
+    own debt needs in one step; that is the same as choosing it again
+    and again while it stays in debt.
+    """
+    if d.sum() < 0:
+        return None
+    d = d.copy()
+    borrowed = np.zeros(len(d), dtype=bool)
+    while True:
+        debtors = np.flatnonzero(d < 0)
+        if len(debtors) == 0:
+            return d
+        if borrowed.all():
+            return None
+        v = debtors[0]
+        d -= (d[v] // L[v, v]) * L[:, v]  # ceil(-d[v] / deg(v)) borrowings
+        borrowed[v] = True
+
+
+def _subset_moves(L: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Divisor changes ``-L 1_S`` of firing S, for the subsets S whose
+    vertex bitmasks run from start to stop - 1."""
+    masks = np.arange(start, stop, dtype=np.int64)
+    indicators = (masks[:, None] >> np.arange(L.shape[0])) & 1
+    return -(indicators @ L)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque fixed-width key per row, for set operations on rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
     L = laplacian(G)
     n = G.n
-    if n == 1:
-        if D.coeffs[0] >= 0:
-            return np.array([D.coeffs], dtype=np.int64)
-        return np.empty((0, 1), dtype=np.int64)
-    Lp = L[:, 1:]
-    system = HalfspaceSystem.from_rows(
-        [tuple(int(x) for x in row) for row in Lp], [-c for c in D.coeffs]
-    )
-    box = fm_bounds(system)
-    base = D.as_array()
-    parts = []
-    for pts in _box_points(box):
-        cand = base + pts @ Lp.T
-        good = cand[(cand >= 0).all(axis=1)]
-        if len(good):
-            parts.append(good)
-    if not parts:
+    rep = _effective_representative(L, D.as_array())
+    if rep is None:
         return np.empty((0, n), dtype=np.int64)
-    return np.unique(np.vstack(parts), axis=0)
+    stop = (1 << n) - 1  # the proper nonempty subsets are 1 .. stop - 1
+    move_step = max(1, _ELEMENT_BUDGET // n)
+    levels = [rep[None, :]]
+    previous = levels[0][:0]
+    frontier = levels[0]
+    while len(frontier):
+        found = [_row_keys(frontier[:0])]
+        for start in range(1, stop, move_step):
+            moves = _subset_moves(L, start, min(start + move_step, stop))
+            step = max(1, _ELEMENT_BUDGET // (len(moves) * n))
+            for f0 in range(0, len(frontier), step):
+                cand = (frontier[f0 : f0 + step, None, :] + moves[None, :, :]).reshape(-1, n)
+                found.append(_row_keys(cand[(cand >= 0).all(axis=1)]))
+        # Firing the complement of S undoes firing S, so the moves make |D|
+        # an undirected graph: the neighbours of one breadth-first level lie
+        # in the level before it, in it, or in the next one.
+        keys = np.unique(np.concatenate(found))
+        keys = keys[~np.isin(keys, _row_keys(np.vstack([previous, frontier])))]
+        previous, frontier = frontier, keys.view(np.int64).reshape(-1, n)
+        levels.append(frontier)
+    members = np.vstack(levels)  # the levels are disjoint
+    return members[np.lexsort(members.T[::-1])]
 
 
 def _members_cached(G: Multigraph, D: Divisor) -> tuple[tuple[Divisor, ...], np.ndarray]:
@@ -446,5 +313,7 @@ def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
 
 
 def is_effective_equivalent(G: Multigraph, D: DivisorLike) -> bool:
-    """True iff the complete linear system of D is nonempty."""
-    return not linear_system(G, D).is_empty()
+    """True iff some effective divisor is equivalent to D, i.e. |D| is
+    nonempty.  Decided by the reduction alone, without enumerating |D|."""
+    D = _coerce_divisor(D, G.n)
+    return _effective_representative(laplacian(G), D.as_array()) is not None

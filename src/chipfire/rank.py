@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .graphs import Divisor, DivisorLike, Multigraph, _coerce_divisor, canonical_divisor, degree, genus
-from .linsys import _members_cached
+from .linsys import _ELEMENT_BUDGET, _members_cached
 
 __all__ = [
     "RankResult",
@@ -63,7 +63,8 @@ def effective_divisors_of_degree(n: int, d: int) -> tuple[Divisor, ...]:
     if d < 0:
         raise ValueError("effective divisors have nonnegative degree")
     arr = _compositions_array(n, d)
-    assert len(arr) == comb(d + n - 1, n - 1)
+    if len(arr) != comb(d + n - 1, n - 1):
+        raise ArithmeticError("composition count does not match C(d + n - 1, n - 1)")
     return tuple(Divisor(tuple(int(x) for x in row)) for row in arr)
 
 
@@ -113,7 +114,23 @@ def non_effective_divisors_of_degree(n: int, d: int, window: int) -> tuple[Divis
     return tuple(Divisor(tuple(int(x) for x in row)) for row in arr)
 
 
-_CHUNK = 4096
+def _dominance_blocks(removals: np.ndarray, members: np.ndarray):
+    """Yield (chunk, dom) over consecutive chunks of removals, with
+    ``dom[i, j]`` true iff members[j] >= chunk[i] componentwise.
+
+    The comparison runs in blocks along both axes, so no broadcast holds
+    more than ``_ELEMENT_BUDGET`` entries however large |D| is.
+    """
+    n = removals.shape[1]
+    rows = max(1, _ELEMENT_BUDGET // (n * len(members)))
+    cols = max(1, _ELEMENT_BUDGET // (n * rows))
+    for start in range(0, len(removals), rows):
+        chunk = removals[start : start + rows]
+        dom = np.empty((len(chunk), len(members)), dtype=bool)
+        for m0 in range(0, len(members), cols):
+            block = members[m0 : m0 + cols]
+            dom[:, m0 : m0 + cols] = (chunk[:, None, :] <= block[None, :, :]).all(axis=2)
+        yield chunk, dom
 
 
 def rank(G: Multigraph, D: DivisorLike) -> RankResult:
@@ -134,15 +151,15 @@ def rank(G: Multigraph, D: DivisorLike) -> RankResult:
     level = 0
     while True:
         removals = _compositions_array(n, level)
-        for start in range(0, len(removals), _CHUNK):
-            chunk = removals[start : start + _CHUNK]
-            covered = (chunk[:, None, :] <= members[None, :, :]).all(axis=2).any(axis=1)
+        for chunk, dom in _dominance_blocks(removals, members):
+            covered = dom.any(axis=1)
             if not covered.all():
                 idx = int(np.argmin(covered))
                 witness = Divisor(tuple(int(x) for x in chunk[idx]))
                 return RankResult(level - 1, witness)
         level += 1
-        assert level <= degree(D) + 1, "rank search exceeded its degree bound"
+        if level > degree(D) + 1:
+            raise RuntimeError("rank search exceeded its degree bound")
 
 
 def verify_rr_graph(G: Multigraph, D: DivisorLike) -> bool:

@@ -38,7 +38,7 @@ from .graphs import (
     genus,
 )
 from .linsys import _members_cached
-from .rank import RankResult, _compositions_array
+from .rank import RankResult, _compositions_array, _dominance_blocks
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -107,7 +107,8 @@ def next_prime(m: int) -> int:
 
 
 DEFAULT_PRIME = next_prime(10**10)
-assert DEFAULT_PRIME == 10_000_000_019
+if DEFAULT_PRIME != 10_000_000_019:
+    raise ArithmeticError("DEFAULT_PRIME != 10_000_000_019")
 
 
 _SEED_SEP = b"\x1f"
@@ -476,9 +477,6 @@ class ToricMemo:
         return [k for k, o in self.outcomes.items() if o.trial_disagreement]
 
 
-_CHUNK = 4096
-
-
 def toric_rank(
     G: Multigraph,
     D: DivisorLike,
@@ -511,9 +509,7 @@ def toric_rank(
     level = 0
     while True:
         removals = _compositions_array(n, level)
-        for start in range(0, len(removals), _CHUNK):
-            chunk = removals[start : start + _CHUNK]
-            dom = (chunk[:, None, :] <= members[None, :, :]).all(axis=2)
+        for chunk, dom in _dominance_blocks(removals, members):
             for i in range(len(chunk)):
                 row = chunk[i]
                 survivable = False
@@ -526,7 +522,8 @@ def toric_rank(
                     witness = Divisor(tuple(int(x) for x in row))
                     return RankResult(level - 1, witness)
         level += 1
-        assert level <= degree(D) + 1, "toric rank search exceeded its degree bound"
+        if level > degree(D) + 1:
+            raise RuntimeError("toric rank search exceeded its degree bound")
 
 
 def verify_rr_toric(

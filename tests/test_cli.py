@@ -3,6 +3,7 @@ import json
 import pytest
 
 import chipfire as cf
+from chipfire import cli
 from chipfire.cli import _finish_driver, main
 from chipfire.experiments import CaseRecord, ExperimentConfig, ExperimentReport
 
@@ -82,6 +83,30 @@ def test_invalid_adjacency(tmp_path, capsys):
     path = tmp_path / "loop.json"
     path.write_text("[[1]]")
     assert main(["rank", "--graph", str(path), "--divisor", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_adjacency_not_a_matrix(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "adj": 5}))
+    assert main(["rank", "--graph", str(path), "--divisor", "0,0"]) == 2
+    assert "list of rows" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(c4_file, capsys, monkeypatch):
+    # A ValueError raised inside the library is a crash, not bad input.
+    def broken(G, D):
+        raise ValueError("internal invariant broken")
+
+    monkeypatch.setattr(cli, "rank", broken)
+    assert main(["rank", "--graph", c4_file, "--divisor", "2,0,0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "internal invariant broken" in err
+
+
+def test_bad_trials_rejected(c4_file, capsys):
+    assert main(["toric-rank", "--graph", c4_file, "--divisor", "0,0,0,0", "--trials", "0"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -43,6 +43,13 @@ def test_divisor_coerces_integer_like():
     assert all(isinstance(c, int) for c in d.coeffs)
 
 
+def test_divisor_rejects_non_integers():
+    with pytest.raises(TypeError):
+        Divisor((1.5, 0))
+    with pytest.raises(TypeError):
+        Divisor(("1", 0))
+
+
 def test_degree():
     assert cf.degree(Divisor((1, -2, 3))) == 2
     assert cf.degree([5, 5]) == 10
@@ -64,6 +71,13 @@ def test_multigraph_validation():
         Multigraph.from_adjacency([[0, 0], [0, 0]])
     with pytest.raises(InvalidGraphError):
         Multigraph.from_adjacency([[0, 0.5], [0.5, 0]])
+
+
+def test_multigraph_rejects_bool_entries():
+    with pytest.raises(InvalidGraphError):
+        Multigraph.from_adjacency([[0, True], [True, 0]])
+    with pytest.raises(InvalidGraphError):
+        Multigraph.from_adjacency([[0, np.True_], [np.True_, 0]])
 
 
 def test_single_vertex_is_connected():

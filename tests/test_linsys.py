@@ -1,19 +1,22 @@
 import itertools
+from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chipfire as cf
 from chipfire import (
     Divisor,
-    HalfspaceSystem,
-    InfeasibleSystemError,
-    UnboundedPolytopeError,
     apply_firing,
-    fm_bounds,
     is_effective_equivalent,
     linear_system,
+    verify_rr_graph,
 )
+from chipfire import linsys
 
+from . import helpers
 from .helpers import brute_members
 
 
@@ -41,50 +44,6 @@ def test_apply_firing_length_check():
     G = cf.path_graph(3)
     with pytest.raises(ValueError):
         apply_firing(G, Divisor.zero(3), (0, 1))
-
-
-def test_fm_bounds_simple_interval():
-    # x >= -1 and -x >= -2, so x in [-1, 2]
-    system = HalfspaceSystem.from_rows([(1,), (-1,)], [-1, -2])
-    assert fm_bounds(system) == [(-1, 2)]
-
-
-def test_fm_bounds_truncates_toward_zero():
-    # 2x >= 1 and -2x >= -5: real interval [1/2, 5/2], integer box (0, 2)
-    system = HalfspaceSystem.from_rows([(2,), (-2,)], [1, -5])
-    assert fm_bounds(system) == [(0, 2)]
-
-
-def test_fm_bounds_two_dims():
-    # x >= 0, y >= 0, x + y <= 3
-    system = HalfspaceSystem.from_rows([(1, 0), (0, 1), (-1, -1)], [0, 0, -3])
-    assert fm_bounds(system) == [(0, 3), (0, 3)]
-
-
-def test_fm_bounds_dim_zero():
-    system = HalfspaceSystem.from_rows([], [])
-    assert fm_bounds(system) == []
-
-
-def test_fm_bounds_infeasible():
-    system = HalfspaceSystem.from_rows([(1,), (-1,)], [3, -1])  # x >= 3 and x <= 1
-    with pytest.raises(InfeasibleSystemError):
-        fm_bounds(system)
-
-
-def test_fm_bounds_unbounded():
-    system = HalfspaceSystem.from_rows([(1,)], [0])  # x >= 0 only
-    with pytest.raises(UnboundedPolytopeError) as info:
-        fm_bounds(system)
-    assert info.value.coordinate == 0
-    assert info.value.side == "above"
-
-
-def test_halfspace_system_shape_validation():
-    with pytest.raises(ValueError):
-        HalfspaceSystem(rows=((1, 2),), bounds=(0, 0), dim=2)
-    with pytest.raises(ValueError):
-        HalfspaceSystem(rows=((1, 2), (1,)), bounds=(0, 0), dim=2)
 
 
 def test_linear_system_members_are_sorted_effective_dedup():
@@ -158,3 +117,69 @@ def test_winnability_against_greedy_solver():
                 G.adj,
                 coeffs,
             )
+
+
+def test_tree_closed_form_past_brute_force_reach():
+    # On a tree every degree-d divisor is equivalent to every other, so |D|
+    # is all C(d + n - 1, n - 1) effective divisors of degree d.
+    ls = linear_system(cf.path_graph(8), (10,) + (0,) * 7)
+    assert len(ls) == comb(17, 7) == 19_448
+    assert all(d.is_effective() and cf.degree(d) == 10 for d in ls)
+    assert list(ls.divisors) == sorted(ls.divisors, key=lambda d: d.coeffs)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_walk_under_small_element_budget(monkeypatch, budget):
+    # The budget splits the subset table (budget < n) and the frontier;
+    # the members must not depend on it.
+    cases = [
+        (cf.path_graph(5), (3, 0, 0, 0, 0)),
+        (cf.cycle_graph(4), (2, -1, 1, 0)),
+        (cf.complete_graph(4), (3, 0, -1, 2)),
+        (cf.path_graph(3), (0, 0, -1)),
+    ]
+    expected = [linsys._compute_members(G, Divisor(c)) for G, c in cases]
+    monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", budget)
+    for (G, c), want in zip(cases, expected):
+        got = linsys._compute_members(G, Divisor(c))
+        np.testing.assert_array_equal(got, want)
+        assert {tuple(r) for r in got.tolist()} == brute_members(G, c)
+
+
+@st.composite
+def graph_and_divisor(draw):
+    """A connected multigraph with n <= 5 and multiplicity <= 2, and a
+    divisor whose positive chips number at most 8 // (n - 1)."""
+    n = draw(st.integers(1, 5))
+    adj = [[0] * n for _ in range(n)]
+    for j in range(1, n):  # a spanning tree keeps the graph connected
+        i = draw(st.integers(0, j - 1))
+        adj[i][j] = adj[j][i] = draw(st.integers(1, 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i][j] == 0:
+                adj[i][j] = adj[j][i] = draw(st.integers(0, 2))
+    chips = draw(st.integers(0, 8 // max(1, n - 1)))
+    coeffs = [0] * n
+    for v in draw(st.lists(st.integers(0, n - 1), min_size=chips, max_size=chips)):
+        coeffs[v] += 1
+    for v in range(n):
+        if coeffs[v] == 0:
+            coeffs[v] = -draw(st.integers(0, 1))
+    return cf.Multigraph.from_adjacency(adj), tuple(coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(graph_and_divisor())
+def test_linear_system_and_rr_on_random_multigraphs(case):
+    G, coeffs = case
+    # If E = D + L f with E effective and f >= 0 vanishing somewhere, every
+    # cut {f >= t} carries a firing difference of at most the positive
+    # chips P of D on each edge, so f <= P * (n - 1): this radius is enough.
+    radius = max(1, sum(c for c in coeffs if c > 0) * (G.n - 1))
+    try:
+        expected = brute_members(G, coeffs, radius=radius)
+    finally:
+        helpers._OFFSET_CACHE.clear()  # one entry per random graph otherwise
+    assert {d.coeffs for d in linear_system(G, coeffs)} == expected
+    assert verify_rr_graph(G, coeffs)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from math import comb
 
@@ -13,6 +14,8 @@ from chipfire import (
 )
 
 from .helpers import brute_rank
+
+rank_module = importlib.import_module("chipfire.rank")  # the attribute is the function
 
 
 def test_effective_divisors_counts_and_order():
@@ -113,6 +116,25 @@ def test_rank_matches_brute_force():
     for G in graphs:
         for coeffs in itertools.product(range(-1, 3), repeat=G.n):
             assert rank(G, coeffs).rank == brute_rank(G, coeffs), (G.adj, coeffs)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_rank_under_small_element_budget(monkeypatch, budget):
+    # The budget chunks the domination test along removals and members
+    # (budget 1 forces one removal against one member at a time); ranks
+    # and witnesses of rank and toric_rank must not depend on it.
+    cfg = cf.ToricConfig(trials=1)
+    cases = [
+        (G, coeffs)
+        for G in (cf.path_graph(3), cf.cycle_graph(3), cf.cycle_graph(2))
+        for coeffs in itertools.product(range(-1, 3), repeat=G.n)
+    ]
+    expected = [(rank(G, c), cf.toric_rank(G, c, cfg)) for G, c in cases]
+    monkeypatch.setattr(rank_module, "_ELEMENT_BUDGET", budget)
+    for (G, coeffs), (r, t) in zip(cases, expected):
+        assert rank(G, coeffs) == r, (G.adj, coeffs)
+        assert r.rank == brute_rank(G, coeffs)
+        assert cf.toric_rank(G, coeffs, cfg) == t, (G.adj, coeffs)
 
 
 def test_verify_rr_graph_sweep():
