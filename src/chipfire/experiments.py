@@ -12,12 +12,15 @@ position of the draw, not from pool scheduling.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
+from itertools import repeat
 from math import comb
 from multiprocessing import Pool
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,8 +32,8 @@ from .graphs import (
     genus,
     is_connected,
 )
-from .linsys import _class_keys_batch
-from .rank import RankResult, _window_divisors_array, rank
+from .linsys import _class_keys_batch, _row_keys
+from .rank import _window_divisors_array, rank
 from .toric import (
     DEFAULT_PRIME,
     ToricConfig,
@@ -125,6 +128,14 @@ class ExperimentConfig:
             raise ConfigError("need 1 <= n_min <= n_max")
         if self.max_multiplicity < 1:
             raise ConfigError("max_multiplicity must be at least 1")
+        # a simple connected graph on n vertices has genus at most
+        # C(n, 2) - n + 1; past that the random sweep would draw forever
+        top_genus = comb(self.n_max, 2) - self.n_max + 1
+        if self.mode == "random-sweep" and self.cases > 0 and self.min_genus > top_genus:
+            raise ConfigError(
+                f"min_genus {self.min_genus} exceeds {top_genus}, the largest genus "
+                f"of a simple connected graph on at most {self.n_max} vertices"
+            )
 
     def resolved_prime(self) -> int:
         return DEFAULT_PRIME if self.prime is None else self.prime
@@ -348,6 +359,89 @@ def encode_adjacency(G: Multigraph) -> str:
 
 
 # ---------------------------------------------------------------------------
+# case blocks
+
+_ANOMALY_NAMES = ("trial-disagreement", "toric-rank-exceeds-rank")
+# bits of _CaseBlock.anomalies, in _ANOMALY_NAMES order
+_TRIAL_DISAGREEMENT = 1
+_TORIC_EXCEEDS_RANK = 2
+# anomaly bit set -> the names it holds
+_ANOMALY_SETS = tuple(
+    tuple(name for bit, name in enumerate(_ANOMALY_NAMES) if code >> bit & 1)
+    for code in range(1 << len(_ANOMALY_NAMES))
+)
+
+
+@dataclass
+class _CaseBlock:
+    """Cases of one graph as columns, row i being the block's i-th case.
+
+    Toric columns are None when the toric check is off.  disagreement is
+    nonzero on rows whose D or K - D lies in a class whose toric rank
+    search read a trial-disagreeing verdict.  Residuals, passed and the
+    anomaly bit sets are derived from these columns.
+    """
+
+    graph_id: int
+    n: int
+    genus: int
+    degree: np.ndarray
+    divisor: np.ndarray
+    rank: np.ndarray
+    rank_dual: np.ndarray
+    toric_rank: np.ndarray | None
+    toric_rank_dual: np.ndarray | None
+    disagreement: np.ndarray
+    residual: np.ndarray = field(init=False)
+    toric_residual: np.ndarray | None = field(init=False)
+    passed: np.ndarray = field(init=False)
+    anomalies: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        expected = self.degree + 1 - self.genus
+        self.residual = self.rank - self.rank_dual - expected
+        self.passed = self.residual == 0
+        if self.toric_rank is None:
+            self.toric_residual = None
+            self.anomalies = np.zeros(len(self), dtype=np.int64)
+            return
+        self.toric_residual = self.toric_rank - self.toric_rank_dual - expected
+        self.passed &= self.toric_residual == 0
+        self.anomalies = (self.disagreement != 0) * _TRIAL_DISAGREEMENT + (
+            self.toric_rank > self.rank
+        ) * _TORIC_EXCEEDS_RANK
+
+    def __len__(self) -> int:
+        return len(self.degree)
+
+    def records(self, first: int, rows: np.ndarray) -> list[CaseRecord]:
+        """CaseRecords of the given rows; row i is case number first + i."""
+
+        def col(values: np.ndarray | None) -> list:
+            return [None] * len(rows) if values is None else values[rows].tolist()
+
+        return [
+            CaseRecord(
+                first + i, self.graph_id, self.n, self.genus, d, tuple(div),
+                r, r_dual, res, t, t_dual, t_res, p, _ANOMALY_SETS[a],
+            )
+            for i, d, div, r, r_dual, res, t, t_dual, t_res, p, a in zip(
+                rows.tolist(),
+                col(self.degree),
+                col(self.divisor),
+                col(self.rank),
+                col(self.rank_dual),
+                col(self.residual),
+                col(self.toric_rank),
+                col(self.toric_rank_dual),
+                col(self.toric_residual),
+                col(self.passed),
+                col(self.anomalies),
+            )
+        ]
+
+
+# ---------------------------------------------------------------------------
 # report sinks
 
 _CASE_FIELDS = (
@@ -395,27 +489,52 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def _case_json(rec: CaseRecord) -> dict:
-    return {
-        "case": rec.case,
-        "graph_id": rec.graph_id,
-        "n": rec.n,
-        "genus": rec.genus,
-        "degree": rec.degree,
-        "divisor": list(rec.divisor),
-        "rank": rec.rank,
-        "rank_dual": rec.rank_dual,
-        "residual": rec.residual,
-        "toric_rank": rec.toric_rank,
-        "toric_rank_dual": rec.toric_rank_dual,
-        "toric_residual": rec.toric_residual,
-        "passed": rec.passed,
-        "anomalies": list(rec.anomalies),
-    }
+def _int_cells(values: np.ndarray) -> list[str]:
+    """str() of each entry.  Columns here take few distinct values, so
+    each value in their range is spelled once and looked up."""
+    if len(values) == 0:
+        return []
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo > len(values):
+        return list(map(str, values.tolist()))
+    spelled = np.array([str(x) for x in range(lo, hi + 1)], dtype=object)
+    return spelled[values - lo].tolist()
+
+
+def _block_cells(
+    b: _CaseBlock,
+    first: int,
+    null: str,
+    booleans: tuple[str, str],
+    separator: str,
+    anomalies: Sequence[str],
+) -> Iterator[tuple[str, ...]]:
+    """The cell text of each row, in _CASE_FIELDS order.  null spells a
+    disabled toric column, booleans spells passed, separator joins the
+    divisor entries and anomalies spells each anomaly bit set."""
+    m = len(b)
+    toric = (b.toric_rank, b.toric_rank_dual, b.toric_residual)
+    return zip(
+        map(str, range(first, first + m)),
+        repeat(str(b.graph_id), m),
+        repeat(str(b.n), m),
+        repeat(str(b.genus), m),
+        _int_cells(b.degree),
+        map(separator.join, zip(*map(_int_cells, b.divisor.T))),
+        _int_cells(b.rank),
+        _int_cells(b.rank_dual),
+        _int_cells(b.residual),
+        *(repeat(null, m) if c is None else _int_cells(c) for c in toric),
+        [booleans[p] for p in b.passed.tolist()],
+        [anomalies[a] for a in b.anomalies.tolist()],
+    )
 
 
 class _Sink:
     """Streaming report writer; the base class discards output."""
+
+    def __init__(self, fh: IO[str] | None = None):
+        self.fh = fh
 
     def start(self, config: ExperimentConfig, graphs: Sequence[Multigraph]) -> None:
         pass
@@ -423,17 +542,23 @@ class _Sink:
     def start_graph(self, gid: int, G: Multigraph) -> None:
         pass
 
-    def case(self, rec: CaseRecord) -> None:
+    def cases(self, block: _CaseBlock, first: int) -> None:
         pass
 
     def finish(self, summary: dict) -> None:
         pass
 
 
+_JSON_ROW = (
+    "{"
+    + ",".join(f'"{k}":[%s]' if k == "divisor" else f'"{k}":%s' for k in _CASE_FIELDS)
+    + "}"
+)
+_JSON_ANOMALIES = tuple(json.dumps(list(s), separators=(",", ":")) for s in _ANOMALY_SETS)
+
+
 class _JsonSink(_Sink):
-    def __init__(self, fh: IO[str]):
-        self.fh = fh
-        self.first = True
+    first = True
 
     def start(self, config: ExperimentConfig, graphs: Sequence[Multigraph]) -> None:
         head = {
@@ -453,20 +578,21 @@ class _JsonSink(_Sink):
         text = json.dumps(head, separators=(",", ":"))
         self.fh.write(text[:-1] + ',"cases":[')
 
-    def case(self, rec: CaseRecord) -> None:
-        if not self.first:
-            self.fh.write(",")
-        self.first = False
-        self.fh.write(json.dumps(_case_json(rec), separators=(",", ":")))
+    def cases(self, block: _CaseBlock, first: int) -> None:
+        rows = _block_cells(block, first, "null", ("false", "true"), ",", _JSON_ANOMALIES)
+        text = ",".join([_JSON_ROW % row for row in rows])
+        if text:
+            self.fh.write(text if self.first else "," + text)
+            self.first = False
 
     def finish(self, summary: dict) -> None:
         self.fh.write('],"summary":' + json.dumps(summary, separators=(",", ":")) + "}\n")
 
 
-class _CsvSink(_Sink):
-    def __init__(self, fh: IO[str]):
-        self.fh = fh
+_CSV_ANOMALIES = tuple(";".join(s) for s in _ANOMALY_SETS)
 
+
+class _CsvSink(_Sink):
     def start(self, config: ExperimentConfig, graphs: Sequence[Multigraph]) -> None:
         w = self.fh.write
         w("# chipfire-report v1\n")
@@ -479,136 +605,114 @@ class _CsvSink(_Sink):
             f"# graph {gid} n={G.n} genus={genus(G)} adj={encode_adjacency(G)}\n"
         )
 
-    def case(self, rec: CaseRecord) -> None:
-        def cell(x: object) -> str:
-            return "" if x is None else str(int(x)) if isinstance(x, bool) else str(x)
-
-        row = [
-            cell(rec.case),
-            cell(rec.graph_id),
-            cell(rec.n),
-            cell(rec.genus),
-            cell(rec.degree),
-            "|".join(str(x) for x in rec.divisor),
-            cell(rec.rank),
-            cell(rec.rank_dual),
-            cell(rec.residual),
-            cell(rec.toric_rank),
-            cell(rec.toric_rank_dual),
-            cell(rec.toric_residual),
-            cell(rec.passed),
-            ";".join(rec.anomalies),
-        ]
-        self.fh.write(",".join(row) + "\n")
+    def cases(self, block: _CaseBlock, first: int) -> None:
+        rows = _block_cells(block, first, "", ("0", "1"), "|", _CSV_ANOMALIES)
+        if len(block):
+            self.fh.write("\n".join(map(",".join, rows)) + "\n")
 
     def finish(self, summary: dict) -> None:
         parts = " ".join(f"{k}={summary[k]}" for k in sorted(summary))
         self.fh.write("# summary " + parts + "\n")
 
 
-def _open_sink(config: ExperimentConfig) -> tuple[_Sink, IO[str] | None]:
-    if config.output_path is None:
-        return _Sink(), None
-    fh = open(config.output_path, "w", newline="")
-    if config.output_format == "json":
-        return _JsonSink(fh), fh
-    return _CsvSink(fh), fh
+@contextmanager
+def _report_file(path: str | None) -> Iterator[IO[str] | None]:
+    """Yield a file to write the report to, or None without a path.
+
+    The report goes to a temporary file in the same directory, which
+    replaces path only once the block completes; on any exception the
+    temporary file is removed and whatever was at path stays untouched.
+    """
+    if path is None:
+        yield None
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # exhaustive driver
 
 
-def _graph_cases(
-    graph_id: int, G: Multigraph, config: ExperimentConfig
-) -> list[CaseRecord]:
+def _graph_cases(graph_id: int, G: Multigraph, config: ExperimentConfig) -> _CaseBlock:
     """All divisor cases for one graph, in deterministic order.
 
-    Rank results are cached per divisor class: equivalent divisors have
-    literally the same linear system, hence the same rank and the same
-    toric rank, so each class is solved once per graph.
+    Equivalent divisors have literally the same linear system, hence the
+    same rank and the same toric rank.  So for each degree the window
+    divisors D and their duals K - D are grouped by class key, each class
+    is solved once per graph, and the results are broadcast back to the
+    rows.
     """
     n = G.n
     g = genus(G)
-    K = canonical_divisor(G)
-    K_row = np.array(K.coeffs, dtype=np.int64)
+    K_row = np.array(canonical_divisor(G).coeffs, dtype=np.int64)
     deg_lo = 0 if config.degree_min is None else config.degree_min
     deg_hi = (g - 1) if config.degree_max is None else config.degree_max
     window = g if config.window is None else config.window
 
     tcfg = config.toric_config() if config.toric else None
     memo = ToricMemo(G, tcfg) if tcfg is not None else None
-    rank_cache: dict[tuple, RankResult] = {}
-    toric_cache: dict[tuple, RankResult] = {}
+    solved: dict[bytes, tuple[int, int, int]] = {}
 
-    def graph_rank(row: np.ndarray, key: tuple) -> RankResult:
-        got = rank_cache.get(key)
-        if got is None:
-            got = rank(G, Divisor(tuple(int(x) for x in row)))
-            rank_cache[key] = got
-        return got
+    def solve(row: np.ndarray) -> tuple[int, int, int]:
+        """Rank and toric rank of row's class, and whether the toric
+        search read a trial-disagreeing verdict."""
+        D = Divisor(tuple(row.tolist()))
+        r = rank(G, D).rank
+        if memo is None:
+            return r, 0, 0
+        before = memo.disagreement_reads
+        rt = toric_rank(G, D, tcfg, memo).rank
+        return r, rt, int(memo.disagreement_reads > before)
 
-    def toric_rank_cached(row: np.ndarray, key: tuple) -> RankResult:
-        got = toric_cache.get(key)
-        if got is None:
-            got = toric_rank(G, Divisor(tuple(int(x) for x in row)), tcfg, memo)
-            toric_cache[key] = got
-        return got
-
-    records: list[CaseRecord] = []
-    local = 0
+    degrees = [np.empty(0, dtype=np.int64)]
+    divisors = [np.empty((0, n), dtype=np.int64)]
+    solutions = [np.empty((2, 0, 3), dtype=np.int64)]  # D or K - D, row, solve()
     for d in range(deg_lo, deg_hi + 1):
-        divisors = _window_divisors_array(n, d, window)
-        if len(divisors) == 0:
+        window_rows = _window_divisors_array(n, d, window)
+        m = len(window_rows)
+        if m == 0:
             continue
-        keys = [tuple(int(x) for x in k) for k in _class_keys_batch(G, divisors)]
-        dual_keys = [
-            tuple(int(x) for x in k)
-            for k in _class_keys_batch(G, K_row[None, :] - divisors)
-        ]
-        for idx in range(len(divisors)):
-            row = divisors[idx]
-            r = graph_rank(row, keys[idx]).rank
-            r_dual = graph_rank(K_row - row, dual_keys[idx]).rank
-            residual = r - r_dual - d - 1 + g
-            anomalies: list[str] = []
-            if memo is not None:
-                before = len(memo.trial_disagreements())
-                rt = toric_rank_cached(row, keys[idx]).rank
-                rt_dual = toric_rank_cached(K_row - row, dual_keys[idx]).rank
-                t_residual = rt - rt_dual - d - 1 + g
-                if len(memo.trial_disagreements()) > before:
-                    anomalies.append("trial-disagreement")
-                if rt > r:
-                    anomalies.append("toric-rank-exceeds-rank")
-            else:
-                rt = rt_dual = t_residual = None
-            passed = residual == 0 and (t_residual is None or t_residual == 0)
-            records.append(
-                CaseRecord(
-                    case=local,
-                    graph_id=graph_id,
-                    n=n,
-                    genus=g,
-                    degree=d,
-                    divisor=tuple(int(x) for x in row),
-                    rank=r,
-                    rank_dual=r_dual,
-                    residual=residual,
-                    toric_rank=rt,
-                    toric_rank_dual=rt_dual,
-                    toric_residual=t_residual,
-                    passed=passed,
-                    anomalies=tuple(anomalies),
-                )
-            )
-            local += 1
-    return records
+        rows = np.concatenate([window_rows, K_row - window_rows])
+        classes, first, inverse = np.unique(
+            _row_keys(_class_keys_batch(G, rows)), return_index=True, return_inverse=True
+        )
+        per_class = np.empty((len(classes), 3), dtype=np.int64)
+        for j, key in enumerate(classes.tolist()):
+            got = solved.get(key)
+            if got is None:
+                got = solved[key] = solve(rows[first[j]])
+            per_class[j] = got
+        degrees.append(np.full(m, d, dtype=np.int64))
+        divisors.append(window_rows)
+        solutions.append(per_class[inverse].reshape(2, m, 3))
+    sol = np.concatenate(solutions, axis=1)
+    toric = memo is not None
+    return _CaseBlock(
+        graph_id=graph_id,
+        n=n,
+        genus=g,
+        degree=np.concatenate(degrees),
+        divisor=np.concatenate(divisors),
+        rank=sol[0, :, 0],
+        rank_dual=sol[1, :, 0],
+        toric_rank=sol[0, :, 1] if toric else None,
+        toric_rank_dual=sol[1, :, 1] if toric else None,
+        disagreement=sol[0, :, 2] | sol[1, :, 2],
+    )
 
 
-def _graph_worker(args: tuple[int, tuple, ExperimentConfig]) -> tuple[int, list[CaseRecord]]:
+def _graph_worker(args: tuple[int, tuple, ExperimentConfig]) -> _CaseBlock:
     graph_id, adj, config = args
-    return graph_id, _graph_cases(graph_id, Multigraph(adj), config)
+    return _graph_cases(graph_id, Multigraph(adj), config)
 
 
 _REPRODUCER_CAP = 100
@@ -617,33 +721,34 @@ _REPRODUCER_CAP = 100
 def _assemble(
     config: ExperimentConfig,
     graphs: Sequence[Multigraph],
-    per_graph: Iterator[tuple[int, list[CaseRecord]]],
+    blocks: Iterable[_CaseBlock],
     t0: float,
 ) -> ExperimentReport:
-    sink, fh = _open_sink(config)
     keep = config.output_path is None
-    try:
+    kept: list[CaseRecord] = []
+    violations: list[CaseRecord] = []
+    anomalous: list[CaseRecord] = []
+    case_count = violation_count = anomaly_count = 0
+    with _report_file(config.output_path) as fh:
+        if fh is None:
+            sink = _Sink()
+        elif config.output_format == "json":
+            sink = _JsonSink(fh)
+        else:
+            sink = _CsvSink(fh)
         sink.start(config, graphs)
-        kept: list[CaseRecord] = []
-        violations: list[CaseRecord] = []
-        anomalous: list[CaseRecord] = []
-        case_count = violation_count = anomaly_count = 0
-        for graph_id, records in per_graph:
-            sink.start_graph(graph_id, graphs[graph_id])
-            for rec in records:
-                rec = replace(rec, case=case_count)
-                case_count += 1
-                if not rec.passed:
-                    violation_count += 1
-                    if len(violations) < _REPRODUCER_CAP:
-                        violations.append(rec)
-                if rec.anomalies:
-                    anomaly_count += 1
-                    if len(anomalous) < _REPRODUCER_CAP:
-                        anomalous.append(rec)
-                if keep:
-                    kept.append(rec)
-                sink.case(rec)
+        for block in blocks:
+            sink.start_graph(block.graph_id, graphs[block.graph_id])
+            sink.cases(block, case_count)
+            failed = np.flatnonzero(~block.passed)
+            flagged = np.flatnonzero(block.anomalies)
+            violation_count += len(failed)
+            anomaly_count += len(flagged)
+            violations += block.records(case_count, failed[: _REPRODUCER_CAP - len(violations)])
+            anomalous += block.records(case_count, flagged[: _REPRODUCER_CAP - len(anomalous)])
+            if keep:
+                kept += block.records(case_count, np.arange(len(block)))
+            case_count += len(block)
         summary = {
             "graphs": len(graphs),
             "cases": case_count,
@@ -652,9 +757,6 @@ def _assemble(
             "toric": config.toric,
         }
         sink.finish(summary)
-    finally:
-        if fh is not None:
-            fh.close()
     return ExperimentReport(
         config=config,
         graphs=tuple(graphs),
@@ -706,7 +808,7 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
     degree genus - 1 on each, and stops after `cases` kept cases.  Runs
     sequentially regardless of config.workers: cases are cheap and few,
     and the rejection stream is easiest to keep reproducible as a single
-    sequence.
+    sequence.  Each case is a one-row block of its own graph.
     """
     t0 = time.perf_counter()
     config.validate()
@@ -716,61 +818,46 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
         )
     tcfg = config.toric_config() if config.toric else None
 
+    # sweep cases are few; draw them all first so the graph table is
+    # complete before the sink writes its header
     graphs: list[Multigraph] = []
-
-    def cases() -> Iterator[tuple[int, list[CaseRecord]]]:
-        attempt = 0
-        produced = 0
-        while produced < config.cases:
-            n = config.n_min + derive_seed(config.seed, "sweep-n", attempt) % (
-                config.n_max - config.n_min + 1
-            )
-            G = random_connected_graph(n, derive_seed(config.seed, "sweep-graph", attempt))
-            g = genus(G)
-            attempt += 1
-            if g < config.min_genus:
-                continue
-            D = random_effective_divisor(
-                n, g - 1, derive_seed(config.seed, "sweep-divisor", attempt - 1)
-            )
-            K = canonical_divisor(G)
-            r = rank(G, D).rank
-            r_dual = rank(G, K - D).rank
-            residual = r - r_dual - degree(D) - 1 + g
-            anomalies: list[str] = []
-            if tcfg is not None:
-                memo = ToricMemo(G, tcfg)
-                rt = toric_rank(G, D, tcfg, memo).rank
-                rt_dual = toric_rank(G, K - D, tcfg, memo).rank
-                t_residual = rt - rt_dual - degree(D) - 1 + g
-                if memo.trial_disagreements():
-                    anomalies.append("trial-disagreement")
-                if rt > r:
-                    anomalies.append("toric-rank-exceeds-rank")
-            else:
-                rt = rt_dual = t_residual = None
-            passed = residual == 0 and (t_residual is None or t_residual == 0)
-            rec = CaseRecord(
-                case=produced,
-                graph_id=produced,
+    blocks: list[_CaseBlock] = []
+    attempt = 0
+    while len(blocks) < config.cases:
+        n = config.n_min + derive_seed(config.seed, "sweep-n", attempt) % (
+            config.n_max - config.n_min + 1
+        )
+        G = random_connected_graph(n, derive_seed(config.seed, "sweep-graph", attempt))
+        g = genus(G)
+        attempt += 1
+        if g < config.min_genus:
+            continue
+        D = random_effective_divisor(
+            n, g - 1, derive_seed(config.seed, "sweep-divisor", attempt - 1)
+        )
+        K = canonical_divisor(G)
+        r = rank(G, D).rank
+        r_dual = rank(G, K - D).rank
+        rt = rt_dual = None
+        disagreement = 0
+        if tcfg is not None:
+            memo = ToricMemo(G, tcfg)
+            rt = np.array([toric_rank(G, D, tcfg, memo).rank])
+            rt_dual = np.array([toric_rank(G, K - D, tcfg, memo).rank])
+            disagreement = memo.disagreement_reads
+        blocks.append(
+            _CaseBlock(
+                graph_id=len(graphs),
                 n=n,
                 genus=g,
-                degree=degree(D),
-                divisor=D.coeffs,
-                rank=r,
-                rank_dual=r_dual,
-                residual=residual,
+                degree=np.array([degree(D)]),
+                divisor=np.array([D.coeffs], dtype=np.int64),
+                rank=np.array([r]),
+                rank_dual=np.array([r_dual]),
                 toric_rank=rt,
                 toric_rank_dual=rt_dual,
-                toric_residual=t_residual,
-                passed=passed,
-                anomalies=tuple(anomalies),
+                disagreement=np.array([disagreement]),
             )
-            graphs.append(G)
-            yield produced, [rec]
-            produced += 1
-
-    # sweep cases are few; materialize so the graph table is complete
-    # before the sink writes its header
-    drawn = list(cases())
-    return _assemble(config, graphs, iter(drawn), t0)
+        )
+        graphs.append(G)
+    return _assemble(config, graphs, blocks, t0)

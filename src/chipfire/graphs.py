@@ -246,13 +246,14 @@ class PointPlacement:
     """Multiset of points on components, as (component, multiplicity) pairs.
 
     Components are labeled 1..n.  Multiplicities may be negative, so a
-    placement can describe poles as well as points.
+    placement can describe poles as well as points.  Both must be
+    integers (numpy integers included); anything else raises TypeError.
     """
 
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((int(c), int(m)) for c, m in self.points)
+        pts = tuple((operator.index(c), operator.index(m)) for c, m in self.points)
         object.__setattr__(self, "points", pts)
 
 

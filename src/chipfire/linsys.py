@@ -26,6 +26,7 @@ processed in chunks, so no candidate block holds more than
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,9 +53,11 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 
     A unit borrowing at v (f[v] = +1) adds deg(v) chips at v and removes
     adj(v, w) chips from each neighbor w.  Total degree is conserved.
+    Entries of f must be integers (numpy integers included); anything
+    else raises TypeError instead of being truncated.
     """
     D = _coerce_divisor(D, G.n)
-    f = tuple(int(x) for x in f)
+    f = tuple(operator.index(x) for x in f)
     if len(f) != G.n:
         raise ValueError(f"firing vector has {len(f)} entries, graph has {G.n} vertices")
     moved = laplacian(G) @ np.array(f, dtype=np.int64)

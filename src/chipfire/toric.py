@@ -459,11 +459,14 @@ class ToricMemo:
     toric_rank probes the same candidate representatives over and over
     (for D and for K - D, across many removals); verdicts depend only on
     the candidate's coefficients, so they are safe to share.
+    disagreement_reads counts the verdicts outcome has returned, cache
+    hits included, that have trial_disagreement set.
     """
 
     graph: Multigraph
     config: ToricConfig
     outcomes: dict[tuple[int, ...], ToricOutcome] = field(default_factory=dict)
+    disagreement_reads: int = 0
 
     def outcome(self, d: Divisor) -> ToricOutcome:
         key = d.coeffs
@@ -471,6 +474,8 @@ class ToricMemo:
         if got is None:
             got = toric_effective_test(self.graph, d, self.config)
             self.outcomes[key] = got
+        if got.trial_disagreement:
+            self.disagreement_reads += 1
         return got
 
     def trial_disagreements(self) -> list[tuple[int, ...]]:

@@ -196,3 +196,49 @@ def test_finish_driver_reports_violations(capsys):
     assert repro["graph"] == "0,1,1;1,0,1;1,1,0"
     assert repro["divisor"] == [0, 0, 0]
     assert repro["prime"] == cf.DEFAULT_PRIME
+
+
+def test_random_sweep_unreachable_genus_exits_2(capsys):
+    argv = ["random-sweep", "--cases", "1", "--n-min", "2", "--n-max", "2", "--min-genus", "4"]
+    assert main(argv) == 2
+    assert "min_genus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("earlier", [None, "an earlier report\n"])
+def test_crashed_sweep_leaves_no_report(tmp_path, capsys, monkeypatch, earlier):
+    from chipfire import experiments
+
+    real = experiments.rank
+    calls = []
+
+    def failing(G, D):
+        calls.append(D)
+        if len(calls) > 20:
+            raise RuntimeError("rank broke partway")
+        return real(G, D)
+
+    monkeypatch.setattr(experiments, "rank", failing)
+    out_path = tmp_path / "r.csv"
+    if earlier is not None:
+        out_path.write_text(earlier)
+    argv = [
+        "exhaustive", "--max-vertices", "4", "--genus-max", "2",
+        "--format", "csv", "--workers", "1", "--out", str(out_path),
+    ]
+    assert main(argv) == 3
+    assert "rank broke partway" in capsys.readouterr().err
+    assert len(calls) == 21
+    if earlier is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [out_path]
+        assert out_path.read_text() == earlier
+
+
+def test_sweep_report_replaces_earlier_file(tmp_path, capsys):
+    out_path = tmp_path / "r.csv"
+    out_path.write_text("stale\n")
+    argv = ["exhaustive", "--max-vertices", "3", "--format", "csv", "--out", str(out_path)]
+    assert main(argv) == 0
+    assert out_path.read_text().startswith("# chipfire-report v1\n")
+    assert list(tmp_path.iterdir()) == [out_path]

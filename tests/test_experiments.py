@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -262,3 +263,69 @@ def test_run_random_sweep_zero_cases():
     report = run_random_sweep(ExperimentConfig(mode="random-sweep", cases=0))
     assert report.case_count == 0
     assert report.graphs == ()
+
+
+def _flag_verdicts(monkeypatch, flagged):
+    """Make toric_effective_test report a trial disagreement on every
+    (graph, coefficients) pair for which flagged(G, coeffs) holds."""
+    real = cf.toric.toric_effective_test
+
+    def flagging(G, d, config=None):
+        out = real(G, d, config)
+        if flagged(G, tuple(d.coeffs)):
+            out = dataclasses.replace(out, trial_disagreement=True)
+        return out
+
+    monkeypatch.setattr(cf.toric, "toric_effective_test", flagging)
+
+
+def test_trial_disagreement_tags_every_case_of_affected_classes(monkeypatch):
+    cfg = _tiny_exhaustive(genus_min=2, genus_max=2)
+    (G,) = enumerate_treeless_graphs(4, (2, 2), max_multiplicity=1)
+    zero = (0,) * G.n
+    _flag_verdicts(monkeypatch, lambda H, coeffs: H == G and coeffs == zero)
+    report = run_exhaustive(cfg)
+
+    # Oracle, one case at a time with no class cache: a case is affected
+    # iff the toric rank search of D or of K - D probes the zero divisor.
+    tcfg = cfg.toric_config()
+    K = cf.canonical_divisor(G)
+    expected = []
+    for rec in report.cases:
+        memo = cf.ToricMemo(G, tcfg)
+        cf.toric_rank(G, Divisor(rec.divisor), tcfg, memo)
+        cf.toric_rank(G, K - Divisor(rec.divisor), tcfg, memo)
+        if zero in memo.outcomes:
+            expected.append(rec.case)
+    # one memo entry, but every case of the classes that read it
+    assert len(expected) > 1
+    assert report.anomaly_count == len(expected)
+    assert [rec.case for rec in report.cases if rec.anomalies] == expected
+    assert all(
+        rec.anomalies == (("trial-disagreement",) if rec.case in expected else ())
+        for rec in report.cases
+    )
+    assert [rec.case for rec in report.anomalies] == expected
+    assert report.violation_count == 0
+
+
+def test_random_sweep_tags_trial_disagreements(monkeypatch):
+    cfg = ExperimentConfig(mode="random-sweep", cases=2, min_genus=2, n_min=4, n_max=4, seed=5)
+    assert run_random_sweep(cfg).anomaly_count == 0
+    _flag_verdicts(monkeypatch, lambda H, coeffs: True)
+    report = run_random_sweep(cfg)
+    assert report.anomaly_count == 2
+    assert all(rec.anomalies == ("trial-disagreement",) for rec in report.cases)
+
+
+def test_random_sweep_rejects_unreachable_genus():
+    # a simple connected graph on n vertices has genus at most C(n, 2) - n + 1
+    for n_max, top in ((1, 0), (2, 0), (3, 1), (4, 3), (5, 6)):
+        cfg = ExperimentConfig(mode="random-sweep", cases=1, n_min=1, n_max=n_max, min_genus=top + 1)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_random_sweep(cfg)
+        dataclasses.replace(cfg, min_genus=top).validate()
+        dataclasses.replace(cfg, cases=0).validate()
+        dataclasses.replace(cfg, mode="exhaustive").validate()

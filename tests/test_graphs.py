@@ -144,6 +144,15 @@ def test_specialize_sums_multiplicities():
     assert cf.specialize(G, [(2, 5)]).coeffs == (0, 5, 0)
 
 
+def test_specialize_rejects_non_integers():
+    G = cf.path_graph(2)
+    with pytest.raises(TypeError):
+        cf.specialize(G, [(1.7, 2.5)])
+    with pytest.raises(TypeError):
+        cf.specialize(G, [(1, 2.5)])
+    assert cf.specialize(G, [(np.int64(2), np.int32(3))]).coeffs == (0, 3)
+
+
 def test_specialize_rejects_bad_component():
     G = cf.path_graph(3)
     with pytest.raises(PlacementError):

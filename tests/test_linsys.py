@@ -40,6 +40,13 @@ def test_apply_firing_single_borrow():
     assert out.coeffs == (-1, 2, -1)
 
 
+def test_apply_firing_rejects_non_integers():
+    G = cf.path_graph(2)
+    with pytest.raises(TypeError):
+        apply_firing(G, (1, 0), (0.9, 0))
+    assert apply_firing(G, (1, 0), (np.int64(1), np.int32(0))).coeffs == (2, -1)
+
+
 def test_apply_firing_length_check():
     G = cf.path_graph(3)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -286,6 +287,28 @@ def test_toric_memo_shares_verdicts():
     toric_rank(G, (1, 0, 1, 0), cfg, memo)
     assert len(memo.outcomes) == before
     assert memo.trial_disagreements() == []
+
+
+def test_toric_memo_counts_disagreeing_reads(monkeypatch):
+    G = cf.cycle_graph(4)
+    cfg = ToricConfig()
+    real = cf.toric.toric_effective_test
+    calls = []
+
+    def flag_zero(H, d, config=None):
+        calls.append(d.coeffs)
+        out = real(H, d, config)
+        return replace(out, trial_disagreement=d.coeffs == (0, 0, 0, 0))
+
+    monkeypatch.setattr(cf.toric, "toric_effective_test", flag_zero)
+    memo = ToricMemo(G, cfg)
+    assert memo.disagreement_reads == 0
+    for _ in range(3):  # one test, then two cache hits
+        memo.outcome(Divisor((0, 0, 0, 0)))
+    memo.outcome(Divisor((1, 0, 0, 0)))
+    assert calls == [(0, 0, 0, 0), (1, 0, 0, 0)]
+    assert memo.disagreement_reads == 3
+    assert memo.trial_disagreements() == [(0, 0, 0, 0)]
 
 
 def test_toric_memo_validation():
