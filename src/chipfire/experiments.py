@@ -17,7 +17,7 @@ import random
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, permutations, product, repeat
 from math import comb
 from multiprocessing import Pool
 from typing import IO, Iterable, Iterator, Sequence
@@ -61,7 +61,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-_MODES = ("exhaustive", "random-sweep", "single")
+_MODES = ("exhaustive", "random-sweep")
 _FORMATS = ("json", "csv")
 
 
@@ -131,11 +131,15 @@ class ExperimentConfig:
         # a simple connected graph on n vertices has genus at most
         # C(n, 2) - n + 1; past that the random sweep would draw forever
         top_genus = comb(self.n_max, 2) - self.n_max + 1
-        if self.mode == "random-sweep" and self.cases > 0 and self.min_genus > top_genus:
-            raise ConfigError(
-                f"min_genus {self.min_genus} exceeds {top_genus}, the largest genus "
-                f"of a simple connected graph on at most {self.n_max} vertices"
-            )
+        if self.mode == "random-sweep" and self.cases > 0:
+            # a tree has genus 0 and no effective divisor of degree g - 1 = -1
+            if self.min_genus < 1:
+                raise ConfigError("min_genus must be at least 1 for a random sweep")
+            if self.min_genus > top_genus:
+                raise ConfigError(
+                    f"min_genus {self.min_genus} exceeds {top_genus}, the largest genus "
+                    f"of a simple connected graph on at most {self.n_max} vertices"
+                )
 
     def resolved_prime(self) -> int:
         return DEFAULT_PRIME if self.prime is None else self.prime
@@ -242,6 +246,8 @@ def _unrank_composition(n: int, d: int, index: int) -> tuple[int, ...]:
 def random_effective_divisor(n: int, d: int, rng_seed: int) -> Divisor:
     """Uniform effective divisor of degree d on n vertices (exact
     uniformity via unranking, no rejection)."""
+    if n < 1 or d < 0:
+        raise ValueError(f"no effective divisor of degree {d} on {n} vertices")
     total = comb(d + n - 1, n - 1)
     index = random.Random(rng_seed).randrange(total)
     return Divisor(_unrank_composition(n, d, index))
@@ -249,45 +255,15 @@ def random_effective_divisor(n: int, d: int, rng_seed: int) -> Divisor:
 
 def _degree_class_canonical(adj: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical form: lexicographic minimum of the adjacency matrix over
-    all vertex permutations that respect the degree multiset.
-
-    Sorting vertices by degree first means only permutations inside
-    equal-degree classes need to be tried; exact for these sizes, not a
-    general isomorphism engine.
-    """
-    from itertools import permutations
-
-    n = len(adj)
+    the vertex orders that sort degrees ascending, i.e. over permutations
+    inside each equal-degree group; exact, not a general isomorphism engine."""
     degs = [sum(row) for row in adj]
-    order = sorted(range(n), key=lambda v: (degs[v], v))
-    groups: list[list[int]] = []
-    for v in order:
-        if groups and degs[groups[-1][-1]] == degs[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-
-    best: tuple[tuple[int, ...], ...] | None = None
-    perms_per_group = [list(permutations(g)) for g in groups]
-
-    def rec(gi: int, prefix: list[int]) -> None:
-        nonlocal best
-        if gi == len(perms_per_group):
-            form = tuple(tuple(adj[a][b] for b in prefix) for a in prefix)
-            if best is None or form < best:
-                best = form
-            return
-        for perm in perms_per_group[gi]:
-            rec(gi + 1, prefix + list(perm))
-
-    rec(0, [])
-    if best is None:
-        raise RuntimeError("canonical form search tried no permutation")
-    return best
-
-
-def _edge_cells(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    order = sorted(range(len(adj)), key=degs.__getitem__)
+    groups = [permutations(grp) for _, grp in groupby(order, key=degs.__getitem__)]
+    return min(
+        tuple(tuple(adj[a][b] for b in p) for a in p)
+        for p in (sum(perms, ()) for perms in product(*groups))
+    )
 
 
 def enumerate_treeless_graphs(
@@ -303,51 +279,43 @@ def enumerate_treeless_graphs(
     genus_range; attaching pendant trees changes neither side of the
     identity under test, so only these cores are worth sweeping.
     Deterministic order: n ascending, then genus, then canonical form.
+
+    The search is degree-sorted (the pruning behind orderly generation):
+    the upper-triangle cells are set in row-major order, so vertex i's
+    degree is final once cell (i, n - 1) is set, and a branch dies there
+    unless that degree is >= 2 and >= the degree of vertex i - 1.  Only
+    labelled graphs with non-decreasing degrees reach the leaf, where
+    they are canonicalized.  The canonical form of every class sorts
+    degrees ascending, so it is itself such a graph and no class is lost.
     """
     g_lo, g_hi = genus_range
     for n in range(2, max_n + 1):
-        for g in range(max(g_lo, 0), g_hi + 1):
-            if g < 1:
-                continue  # a connected genus-0 graph is a tree: has leaves
-            e_total = n + g - 1
-            cells = _edge_cells(n)
-            if e_total > len(cells) * max_multiplicity:
-                continue
-            seen: set[tuple[tuple[int, ...], ...]] = set()
-            forms: list[tuple[tuple[int, ...], ...]] = []
+        cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for g in range(max(g_lo, 1), g_hi + 1):  # genus 0 means a tree: has leaves
+            forms: set[tuple[tuple[int, ...], ...]] = set()
             adj = [[0] * n for _ in range(n)]
             degs = [0] * n
 
             def rec(k: int, remaining: int) -> None:
-                if remaining < 0:
-                    return
                 if k == len(cells):
-                    if remaining == 0 and degs[n - 1] >= 2 and is_connected(adj):
-                        form = _degree_class_canonical(
-                            tuple(tuple(row) for row in adj)
-                        )
-                        if form not in seen:
-                            seen.add(form)
-                            forms.append(form)
+                    if remaining == 0 and degs[n - 1] >= degs[n - 2] and is_connected(adj):
+                        forms.add(_degree_class_canonical(tuple(map(tuple, adj))))
                     return
                 if remaining > (len(cells) - k) * max_multiplicity:
                     return
                 i, j = cells[k]
-                for m in range(max_multiplicity + 1):
+                for m in range(min(max_multiplicity, remaining) + 1):
                     adj[i][j] = adj[j][i] = m
                     degs[i] += m
                     degs[j] += m
-                    # once a vertex's final incident cell is set, its
-                    # degree is fixed; prune below the 2-core threshold
-                    if j == n - 1 and degs[i] < 2:
-                        pass
-                    else:
+                    # vertex i's degree is final once its last cell is set
+                    if j < n - 1 or (degs[i] >= 2 and (i == 0 or degs[i] >= degs[i - 1])):
                         rec(k + 1, remaining - m)
                     degs[i] -= m
                     degs[j] -= m
                 adj[i][j] = adj[j][i] = 0
 
-            rec(0, e_total)
+            rec(0, n + g - 1)
             for form in sorted(forms):
                 yield Multigraph(form)
 

@@ -11,7 +11,7 @@ about a GENERIC curve with the given dual graph, not any specific curve.
 
 False verdicts come only from accidental vanishing over the field and
 are bounded by O(rows * cols / p) per matrix sample; with the default
-modulus just above 10^10 and desk-scale graphs that is under 1e-8, and
+modulus just above 10^10 and desk-scale graphs that is under 1e-7, and
 the majority vote over independent samples drives it lower still.  Any
 disagreement between samples is surfaced on the outcome, never retried
 silently.

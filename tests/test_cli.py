@@ -204,6 +204,17 @@ def test_random_sweep_unreachable_genus_exits_2(capsys):
     assert "min_genus" in capsys.readouterr().err
 
 
+def test_random_sweep_genus_zero_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    argv = [
+        "random-sweep", "--cases", "1", "--n-min", "1", "--n-max", "1",
+        "--min-genus", "0", "--out", str(out_path),
+    ]
+    assert main(argv) == 2
+    assert "min_genus" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("earlier", [None, "an earlier report\n"])
 def test_crashed_sweep_leaves_no_report(tmp_path, capsys, monkeypatch, earlier):
     from chipfire import experiments

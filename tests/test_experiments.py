@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from chipfire import (
     run_random_sweep,
 )
 
-from .helpers import canonical_adjacency
+from .helpers import canonical_adjacency, connected_multigraphs_up_to_iso
 
 
 def test_config_validation_branches():
@@ -36,11 +37,16 @@ def test_config_validation_branches():
         dict(n_min=0),
         dict(n_min=4, n_max=3),
         dict(max_multiplicity=0),
+        dict(mode="single"),
+        dict(mode="random-sweep", min_genus=0),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs).validate()
     ExperimentConfig().validate()
+    # exhaustive mode ignores min_genus; an empty random sweep draws nothing
+    ExperimentConfig(mode="exhaustive", min_genus=-3).validate()
+    ExperimentConfig(mode="random-sweep", cases=0, min_genus=0).validate()
 
 
 def test_config_resolved_prime_and_toric_config():
@@ -73,6 +79,10 @@ def test_random_effective_divisor():
         assert D == random_effective_divisor(4, 3, rng_seed=seed)
     values = {random_effective_divisor(2, 1, rng_seed=s).coeffs for s in range(30)}
     assert values == {(0, 1), (1, 0)}
+    assert random_effective_divisor(1, 0, rng_seed=0).coeffs == (0,)
+    for n, d in ((1, -1), (3, -1), (0, 0), (0, 2), (-1, 1)):
+        with pytest.raises(ValueError, match="no effective divisor"):
+            random_effective_divisor(n, d, rng_seed=0)
 
 
 def test_enumerate_treeless_genus_one_simple():
@@ -111,6 +121,37 @@ def test_enumerate_treeless_invariants():
     assert [G.adj for G in got] == [
         G.adj for G in enumerate_treeless_graphs(5, (1, 2), max_multiplicity=2)
     ]
+
+
+@pytest.mark.parametrize(
+    "max_n, max_mult", [(2, 3), (3, 3), (4, 1), (4, 2), (4, 3), (5, 1)]
+)
+def test_enumerate_treeless_matches_brute_force_oracle(max_n, max_mult):
+    cores = [
+        G for G in connected_multigraphs_up_to_iso(max_n, max_mult)
+        if min(G.vertex_degrees()) >= 2
+    ]
+    for g_lo, g_hi in ((1, 1), (1, 3), (2, 4), (0, 10)):
+        want = {G.adj for G in cores if g_lo <= cf.genus(G) <= g_hi}
+        # the oracle canonicalizes over all n! permutations, the enumerator
+        # over degree-sorted orders only, so compare by the oracle's forms
+        got = [
+            canonical_adjacency(G.adj)
+            for G in enumerate_treeless_graphs(max_n, (g_lo, g_hi), max_mult)
+        ]
+        assert len(got) == len(want)
+        assert set(got) == want
+
+
+def test_enumerate_treeless_order_is_pinned():
+    # report bytes follow this order; digest recorded from the brute-force
+    # canonical-form enumerator that the degree-sorted search replaced
+    got = list(enumerate_treeless_graphs(6, (1, 4), 3))
+    assert len(got) == 511
+    text = "".join(encode_adjacency(G) + "\n" for G in got)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "90a86e2a1b6b67b341a5af5fbfe63f1f8409ee1162e5f189a6e33b23cc8b466a"
+    )
 
 
 def test_encode_adjacency():
@@ -326,6 +367,10 @@ def test_random_sweep_rejects_unreachable_genus():
             cfg.validate()
         with pytest.raises(ConfigError):
             run_random_sweep(cfg)
-        dataclasses.replace(cfg, min_genus=top).validate()
+        if top >= 1:
+            dataclasses.replace(cfg, min_genus=top).validate()
+        else:  # only trees: no min_genus >= 1 is reachable
+            with pytest.raises(ConfigError):
+                dataclasses.replace(cfg, min_genus=top).validate()
         dataclasses.replace(cfg, cases=0).validate()
         dataclasses.replace(cfg, mode="exhaustive").validate()
