@@ -28,12 +28,11 @@ from .graphs import (
     Divisor,
     Multigraph,
     canonical_divisor,
-    degree,
     genus,
     is_connected,
 )
 from .linsys import _class_keys_batch, _row_keys
-from .rank import _window_divisors_array, rank
+from .rank import _compositions_array, rank
 from .toric import (
     DEFAULT_PRIME,
     ToricConfig,
@@ -610,72 +609,59 @@ def _report_file(path: str | None) -> Iterator[IO[str] | None]:
 # exhaustive driver
 
 
-def _graph_cases(graph_id: int, G: Multigraph, config: ExperimentConfig) -> _CaseBlock:
-    """All divisor cases for one graph, in deterministic order.
+def _solve_cases(
+    graph_id: int, G: Multigraph, config: ExperimentConfig, divisors: np.ndarray
+) -> _CaseBlock:
+    """The cases of one graph, one per row of divisors, in row order.
 
     Equivalent divisors have literally the same linear system, hence the
-    same rank and the same toric rank.  So for each degree the window
-    divisors D and their duals K - D are grouped by class key, each class
-    is solved once per graph, and the results are broadcast back to the
-    rows.
+    same rank and the same toric rank.  So the rows D and their duals
+    K - D are grouped by class key, each class is solved once, and the
+    results are broadcast back to the rows.
     """
-    n = G.n
-    g = genus(G)
-    K_row = np.array(canonical_divisor(G).coeffs, dtype=np.int64)
-    deg_lo = 0 if config.degree_min is None else config.degree_min
-    deg_hi = (g - 1) if config.degree_max is None else config.degree_max
-    window = g if config.window is None else config.window
-
+    m = len(divisors)
     tcfg = config.toric_config() if config.toric else None
     memo = ToricMemo(G, tcfg) if tcfg is not None else None
-    solved: dict[bytes, tuple[int, int, int]] = {}
-
-    def solve(row: np.ndarray) -> tuple[int, int, int]:
-        """Rank and toric rank of row's class, and whether the toric
-        search read a trial-disagreeing verdict."""
-        D = Divisor(tuple(row.tolist()))
-        r = rank(G, D).rank
-        if memo is None:
-            return r, 0, 0
-        before = memo.disagreement_reads
-        rt = toric_rank(G, D, tcfg, memo).rank
-        return r, rt, int(memo.disagreement_reads > before)
-
-    degrees = [np.empty(0, dtype=np.int64)]
-    divisors = [np.empty((0, n), dtype=np.int64)]
-    solutions = [np.empty((2, 0, 3), dtype=np.int64)]  # D or K - D, row, solve()
-    for d in range(deg_lo, deg_hi + 1):
-        window_rows = _window_divisors_array(n, d, window)
-        m = len(window_rows)
-        if m == 0:
-            continue
-        rows = np.concatenate([window_rows, K_row - window_rows])
-        classes, first, inverse = np.unique(
-            _row_keys(_class_keys_batch(G, rows)), return_index=True, return_inverse=True
-        )
-        per_class = np.empty((len(classes), 3), dtype=np.int64)
-        for j, key in enumerate(classes.tolist()):
-            got = solved.get(key)
-            if got is None:
-                got = solved[key] = solve(rows[first[j]])
-            per_class[j] = got
-        degrees.append(np.full(m, d, dtype=np.int64))
-        divisors.append(window_rows)
-        solutions.append(per_class[inverse].reshape(2, m, 3))
-    sol = np.concatenate(solutions, axis=1)
+    rows = np.concatenate([divisors, canonical_divisor(G).as_array() - divisors])
+    _, first, inverse = np.unique(
+        _row_keys(_class_keys_batch(G, rows)), return_index=True, return_inverse=True
+    )
+    # per class: rank, toric rank, and whether the toric search read a
+    # trial-disagreeing verdict
+    per_class = np.zeros((len(first), 3), dtype=np.int64)
+    for j, i in enumerate(first.tolist()):
+        D = Divisor(tuple(rows[i].tolist()))
+        per_class[j, 0] = rank(G, D).rank
+        if memo is not None:
+            before = memo.disagreement_reads
+            per_class[j, 1] = toric_rank(G, D, tcfg, memo).rank
+            per_class[j, 2] = memo.disagreement_reads > before
+    sol = per_class[inverse].reshape(2, m, 3)
     toric = memo is not None
     return _CaseBlock(
         graph_id=graph_id,
-        n=n,
-        genus=g,
-        degree=np.concatenate(degrees),
-        divisor=np.concatenate(divisors),
+        n=G.n,
+        genus=genus(G),
+        degree=divisors.sum(axis=1),
+        divisor=divisors,
         rank=sol[0, :, 0],
         rank_dual=sol[1, :, 0],
         toric_rank=sol[0, :, 1] if toric else None,
         toric_rank_dual=sol[1, :, 1] if toric else None,
         disagreement=sol[0, :, 2] | sol[1, :, 2],
     )
+
+
+def _graph_cases(graph_id: int, G: Multigraph, config: ExperimentConfig) -> _CaseBlock:
+    """All window divisors of every degree in range for one graph, in
+    deterministic order: degree ascending, then lexicographic."""
+    g = genus(G)
+    deg_lo = 0 if config.degree_min is None else config.degree_min
+    deg_hi = (g - 1) if config.degree_max is None else config.degree_max
+    window = g if config.window is None else config.window
+    rows = [np.empty((0, G.n), dtype=np.int64)]
+    rows += (_compositions_array(G.n, d, -window, d + window) for d in range(deg_lo, deg_hi + 1))
+    return _solve_cases(graph_id, G, config, np.concatenate(rows))
 
 
 def _graph_worker(args: tuple[int, tuple, ExperimentConfig]) -> _CaseBlock:
@@ -784,7 +770,6 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(
             f"run_random_sweep needs mode='random-sweep', got {config.mode!r}"
         )
-    tcfg = config.toric_config() if config.toric else None
 
     # sweep cases are few; draw them all first so the graph table is
     # complete before the sink writes its header
@@ -803,29 +788,8 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
         D = random_effective_divisor(
             n, g - 1, derive_seed(config.seed, "sweep-divisor", attempt - 1)
         )
-        K = canonical_divisor(G)
-        r = rank(G, D).rank
-        r_dual = rank(G, K - D).rank
-        rt = rt_dual = None
-        disagreement = 0
-        if tcfg is not None:
-            memo = ToricMemo(G, tcfg)
-            rt = np.array([toric_rank(G, D, tcfg, memo).rank])
-            rt_dual = np.array([toric_rank(G, K - D, tcfg, memo).rank])
-            disagreement = memo.disagreement_reads
         blocks.append(
-            _CaseBlock(
-                graph_id=len(graphs),
-                n=n,
-                genus=g,
-                degree=np.array([degree(D)]),
-                divisor=np.array([D.coeffs], dtype=np.int64),
-                rank=np.array([r]),
-                rank_dual=np.array([r_dual]),
-                toric_rank=rt,
-                toric_rank_dual=rt_dual,
-                disagreement=np.array([disagreement]),
-            )
+            _solve_cases(len(graphs), G, config, np.array([D.coeffs], dtype=np.int64))
         )
         graphs.append(G)
     return _assemble(config, graphs, blocks, t0)

@@ -47,18 +47,28 @@ class PlacementError(ValueError):
     """A point placement references a component outside 1..n."""
 
 
+def _as_ints(values: Iterable[object]) -> tuple[int, ...]:
+    """values as a tuple of Python ints.  Integers are accepted (numpy
+    integers included); anything else, bool and 1.5 among them, raises
+    TypeError instead of being truncated or read as 0/1."""
+    values = tuple(values)
+    if bool in map(type, values):
+        raise TypeError(f"expected integers, got {values!r}")
+    return tuple(map(operator.index, values))
+
+
 @dataclass(frozen=True)
 class Divisor:
     """Integer chip assignment on the vertices of a graph.
 
     Coefficients must be integers (numpy integers included); anything
-    else, such as 1.5, raises TypeError instead of being truncated.
+    else, such as 1.5 or True, raises TypeError.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(operator.index(c) for c in self.coeffs)
+        coeffs = _as_ints(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -247,13 +257,14 @@ class PointPlacement:
 
     Components are labeled 1..n.  Multiplicities may be negative, so a
     placement can describe poles as well as points.  Both must be
-    integers (numpy integers included); anything else raises TypeError.
+    integers (numpy integers included); anything else, bool included,
+    raises TypeError.
     """
 
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((operator.index(c), operator.index(m)) for c, m in self.points)
+        pts = tuple(_as_ints((c, m)) for c, m in self.points)
         object.__setattr__(self, "points", pts)
 
 

@@ -26,14 +26,13 @@ processed in chunks, so no candidate block holds more than
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Divisor, DivisorLike, Multigraph, _coerce_divisor, degree, laplacian
+from .graphs import Divisor, DivisorLike, Multigraph, _as_ints, _coerce_divisor, degree, laplacian
 
 __all__ = [
     "FiringVector",
@@ -54,10 +53,10 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
     A unit borrowing at v (f[v] = +1) adds deg(v) chips at v and removes
     adj(v, w) chips from each neighbor w.  Total degree is conserved.
     Entries of f must be integers (numpy integers included); anything
-    else raises TypeError instead of being truncated.
+    else, bool included, raises TypeError instead of being truncated.
     """
     D = _coerce_divisor(D, G.n)
-    f = tuple(operator.index(x) for x in f)
+    f = _as_ints(f)
     if len(f) != G.n:
         raise ValueError(f"firing vector has {len(f)} entries, graph has {G.n} vertices")
     moved = laplacian(G) @ np.array(f, dtype=np.int64)
@@ -74,8 +73,12 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # S_ii = 0 must vanish exactly).  The tuple of residues is a complete
 # invariant of the divisor class and serves as a cache key, letting the
 # expensive member enumeration run once per class instead of once per
-# divisor.  Only the key is derived; no reduced representative divisor is
-# ever produced or exposed.
+# divisor.  Keys keep only the nontrivial invariant factors: rows with
+# S_ii = 1 say nothing and are dropped, and the rows with S_ii > 1 are
+# reduced mod S_ii, so key arithmetic stays small even where U itself
+# has entries past 2^40.  (The row with S_ii = 0 is +-(1, ..., 1) on a
+# connected graph.)  Only the key is derived; no reduced representative
+# divisor is ever produced or exposed.
 
 
 def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -142,44 +145,36 @@ def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
 
 
 _CLASS_DATA_LOCK = threading.Lock()
-_CLASS_DATA: dict[Multigraph, tuple[np.ndarray, tuple[int, ...]]] = {}
+_CLASS_DATA: dict[Multigraph, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _class_data(G: Multigraph) -> tuple[np.ndarray, tuple[int, ...]]:
+def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """The key rows of U (reduced mod their invariant factor) and those
+    factors, for the invariant factors other than 1."""
     with _CLASS_DATA_LOCK:
         hit = _CLASS_DATA.get(G)
     if hit is not None:
         return hit
     U, diag = _snf_left(laplacian(G).tolist())
-    Ua = np.array(U, dtype=np.int64)
-    if max(1, int(np.abs(Ua).max())) >= 1 << 40:
+    kept = [(tuple(x % s for x in row) if s else row, s) for row, s in zip(U, diag) if s != 1]
+    if any(abs(x) >= 1 << 40 for row, _ in kept for x in row):
         raise OverflowError("unexpected transform growth in Laplacian diagonalization")
-    full_diag = tuple(diag) + (0,) * (G.n - len(diag))
+    rows = np.array([row for row, _ in kept], dtype=np.int64).reshape(len(kept), G.n)
+    value = (rows, np.array([s for _, s in kept], dtype=np.int64))
     with _CLASS_DATA_LOCK:
-        _CLASS_DATA[G] = (Ua, full_diag)
-    return Ua, full_diag
-
-
-def _class_key(G: Multigraph, D: Divisor) -> tuple[int, ...]:
-    U, diag = _class_data(G)
-    v = U @ D.as_array()
-    key = []
-    for x, s in zip(v.tolist(), diag):
-        if s == 0:
-            key.append(int(x))
-        else:
-            key.append(int(x) % s)
-    return tuple(key)
+        _CLASS_DATA[G] = value
+    return value
 
 
 def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     """Class keys for an (m, n) array of divisors, one key row each."""
-    U, diag = _class_data(G)
+    U, moduli = _class_data(G)
     keys = divisors.astype(np.int64) @ U.T
-    for i, s in enumerate(diag):
-        if s != 0:
-            keys[:, i] %= s
-    return keys
+    return np.remainder(keys, moduli, out=keys, where=moduli != 0)
+
+
+def _class_key(G: Multigraph, D: Divisor) -> tuple[int, ...]:
+    return tuple(_class_keys_batch(G, D.as_array()[None, :])[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The rank of D is the largest r such that removing any r chips (any
 effective divisor of degree r) leaves a divisor with nonempty linear
 system; it is -1 when |D| itself is empty.  The search mirrors the
 classical loop: compute |D| once, then test chip removals level by level
-in lexicographic order until one fails.
+in lexicographic order until one fails.  toric_rank runs the same scan
+with a different survival test, so both live in ``_rank_scan``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -37,20 +39,26 @@ class RankResult:
 
 
 @lru_cache(maxsize=256)
-def _compositions_array(n: int, d: int) -> np.ndarray:
-    """All nonnegative integer n-vectors summing to d, lexicographically
-    ascending, as a read-only (C(d+n-1, n-1), n) array."""
+def _compositions_array(n: int, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """All integer n-vectors with entries in [lo, hi] summing to d
+    (hi defaults to d), lexicographically ascending, as a read-only
+    array."""
+    if hi is None:
+        hi = d
     if n == 1:
-        arr = np.array([[d]], dtype=np.int64)
+        arr = np.array([[d]] if lo <= d <= hi else [], dtype=np.int64).reshape(-1, 1)
     else:
-        parts = []
-        for first in range(d + 1):
-            rest = _compositions_array(n - 1, d - first)
+        parts = [np.empty((0, n), dtype=np.int64)]
+        for first in range(max(lo, d - (n - 1) * hi), min(hi, d - (n - 1) * lo) + 1):
+            rest_sum = d - first
+            # hi clipped to what one entry of the rest can reach, so that
+            # equal sets share a cache key across levels
+            rest = _compositions_array(n - 1, rest_sum, lo, min(hi, rest_sum - (n - 2) * lo))
             block = np.empty((len(rest), n), dtype=np.int64)
             block[:, 0] = first
             block[:, 1:] = rest
             parts.append(block)
-        arr = np.vstack(parts) if parts else np.empty((0, n), dtype=np.int64)
+        arr = np.vstack(parts)
     arr.flags.writeable = False
     return arr
 
@@ -65,37 +73,7 @@ def effective_divisors_of_degree(n: int, d: int) -> tuple[Divisor, ...]:
     arr = _compositions_array(n, d)
     if len(arr) != comb(d + n - 1, n - 1):
         raise ArithmeticError("composition count does not match C(d + n - 1, n - 1)")
-    return tuple(Divisor(tuple(int(x) for x in row)) for row in arr)
-
-
-def _window_rows(n: int, d: int, window: int) -> list[tuple[int, ...]]:
-    lo = -window
-    hi = d + window
-    out: list[tuple[int, ...]] = []
-    row = [0] * n
-
-    def rec(i: int, remaining: int) -> None:
-        if i == n - 1:
-            if lo <= remaining <= hi:
-                row[i] = remaining
-                out.append(tuple(row))
-            return
-        slots = n - 1 - i
-        lo_i = max(lo, remaining - slots * hi)
-        hi_i = min(hi, remaining - slots * lo)
-        for x in range(lo_i, hi_i + 1):
-            row[i] = x
-            rec(i + 1, remaining - x)
-
-    rec(0, d)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _window_divisors_array(n: int, d: int, window: int) -> np.ndarray:
-    arr = np.array(_window_rows(n, d, window), dtype=np.int64).reshape(-1, n)
-    arr.flags.writeable = False
-    return arr
+    return tuple(Divisor(tuple(row)) for row in arr.tolist())
 
 
 def non_effective_divisors_of_degree(n: int, d: int, window: int) -> tuple[Divisor, ...]:
@@ -110,8 +88,8 @@ def non_effective_divisors_of_degree(n: int, d: int, window: int) -> tuple[Divis
         raise ValueError("need at least one vertex")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    arr = _window_divisors_array(n, d, window)
-    return tuple(Divisor(tuple(int(x) for x in row)) for row in arr)
+    arr = _compositions_array(n, d, -window, d + window)
+    return tuple(Divisor(tuple(row)) for row in arr.tolist())
 
 
 def _dominance_blocks(removals: np.ndarray, members: np.ndarray):
@@ -133,33 +111,44 @@ def _dominance_blocks(removals: np.ndarray, members: np.ndarray):
         yield chunk, dom
 
 
-def rank(G: Multigraph, D: DivisorLike) -> RankResult:
-    """Baker-Norine rank of D with its failing removal witness.
+def _rank_scan(
+    G: Multigraph, D: Divisor, passes: Callable[[np.ndarray], bool] | None = None
+) -> RankResult:
+    """The removal scan shared by rank and toric_rank.
 
-    Terminates because any removal of degree(D) + 1 chips leaves negative
-    degree, hence an empty linear system.
+    A removal E survives iff some member m of |D| dominates it and, when
+    passes is given, passes(m - E) holds; the members m - E are exactly
+    |D - E|.  passes is called lazily: members in order until one passes,
+    and the scan stops at the first removal that does not survive.
+    Terminates because no member dominates a removal of degree(D) + 1
+    chips.
     """
-    D = _coerce_divisor(D, G.n)
     n = G.n
     if degree(D) < 0:
-        # negative total degree: no effective divisor is reachable, and
-        # the underlying real firing polytope is already empty
+        # negative total degree: no effective divisor is reachable
         return RankResult(-1, Divisor.zero(n))
     _, members = _members_cached(G, D)
     if len(members) == 0:
         return RankResult(-1, Divisor.zero(n))
-    level = 0
-    while True:
-        removals = _compositions_array(n, level)
-        for chunk, dom in _dominance_blocks(removals, members):
-            covered = dom.any(axis=1)
-            if not covered.all():
-                idx = int(np.argmin(covered))
-                witness = Divisor(tuple(int(x) for x in chunk[idx]))
-                return RankResult(level - 1, witness)
-        level += 1
-        if level > degree(D) + 1:
-            raise RuntimeError("rank search exceeded its degree bound")
+    for level in range(degree(D) + 2):
+        for chunk, dom in _dominance_blocks(_compositions_array(n, level), members):
+            if passes is None:
+                failed = (~dom.any(axis=1)).nonzero()[0]
+            else:
+                failed = (
+                    i
+                    for i, row in enumerate(chunk)
+                    if not any(passes(members[j] - row) for j in dom[i].nonzero()[0])
+                )
+            first = next(iter(failed), None)
+            if first is not None:
+                return RankResult(level - 1, Divisor(tuple(chunk[first].tolist())))
+    raise RuntimeError("rank search exceeded its degree bound")
+
+
+def rank(G: Multigraph, D: DivisorLike) -> RankResult:
+    """Baker-Norine rank of D with its failing removal witness."""
+    return _rank_scan(G, _coerce_divisor(D, G.n))
 
 
 def verify_rr_graph(G: Multigraph, D: DivisorLike) -> bool:

@@ -26,8 +26,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .graphs import (
     Divisor,
     DivisorLike,
@@ -37,8 +35,7 @@ from .graphs import (
     degree,
     genus,
 )
-from .linsys import _members_cached
-from .rank import RankResult, _compositions_array, _dominance_blocks
+from .rank import RankResult, _rank_scan
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -491,7 +488,7 @@ def toric_rank(
     """Toric analogue of rank: a removal E is survivable iff SOME member
     of |D - E| passes the effectivity test.
 
-    Same level-by-level lexicographic search as rank; the witness is the
+    Same removal scan as rank (``rank._rank_scan``); the witness is the
     first removal no representative survives.  Candidates m - E (for
     members m >= E) are exactly the members of |D - E|, tested in
     lexicographic order with verdicts shared through the memo.
@@ -505,30 +502,7 @@ def toric_rank(
     elif memo.config != config:
         raise ValueError("memo was built for a different config")
     D = _coerce_divisor(D, G.n)
-    n = G.n
-    if degree(D) < 0:
-        return RankResult(-1, Divisor.zero(n))
-    _, members = _members_cached(G, D)
-    if len(members) == 0:
-        return RankResult(-1, Divisor.zero(n))
-    level = 0
-    while True:
-        removals = _compositions_array(n, level)
-        for chunk, dom in _dominance_blocks(removals, members):
-            for i in range(len(chunk)):
-                row = chunk[i]
-                survivable = False
-                for mi in np.nonzero(dom[i])[0]:
-                    cand = Divisor(tuple(int(x) for x in members[mi] - row))
-                    if memo.outcome(cand).passed:
-                        survivable = True
-                        break
-                if not survivable:
-                    witness = Divisor(tuple(int(x) for x in row))
-                    return RankResult(level - 1, witness)
-        level += 1
-        if level > degree(D) + 1:
-            raise RuntimeError("toric rank search exceeded its degree bound")
+    return _rank_scan(G, D, lambda cand: memo.outcome(Divisor(tuple(cand.tolist()))).passed)
 
 
 def verify_rr_toric(

@@ -159,6 +159,31 @@ def brute_rank(G: cf.Multigraph, coeffs, radius: int = 10) -> int:
         level += 1
 
 
+def brute_toric_rank(
+    G: cf.Multigraph, coeffs, config: cf.ToricConfig, radius: int = 10
+) -> tuple[int, tuple[int, ...]]:
+    """Toric rank and witness from the definition: scan levels upward,
+    list the removals E of each level lexicographically, and let E
+    survive iff some member of brute_members(G, D - E) passes
+    toric_effective_test.  Verdicts are cached per candidate only."""
+    verdicts: dict[tuple[int, ...], bool] = {}
+
+    def passes(m: tuple[int, ...]) -> bool:
+        if m not in verdicts:
+            verdicts[m] = cf.toric_effective_test(G, m, config).passed
+        return verdicts[m]
+
+    level = 0
+    while True:
+        for removal in itertools.product(range(level + 1), repeat=G.n):
+            if sum(removal) != level:
+                continue
+            rest = [c - e for c, e in zip(coeffs, removal)]
+            if not any(passes(m) for m in sorted(brute_members(G, rest, radius))):
+                return level - 1, removal
+        level += 1
+
+
 def greedy_winnable(G: cf.Multigraph, coeffs, max_rounds: int = 10_000) -> bool:
     """Debt-chasing play: the lowest-indexed vertex in debt borrows from
     its neighbors until no vertex is in debt or the round budget runs

@@ -215,6 +215,20 @@ def test_random_sweep_genus_zero_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_readme_random_sweep_at_seed_0(tmp_path, capsys):
+    # its first graph (n = 10, genus 20) has a Laplacian transform with
+    # 43-bit entries, which used to overflow the class keys (exit 3)
+    out_path = tmp_path / "r.csv"
+    argv = [
+        "random-sweep", "--cases", "20", "--min-genus", "4", "--n-min", "5",
+        "--n-max", "10", "--seed", "0", "--format", "csv", "--out", str(out_path),
+    ]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["cases"] == 20 and summary["violations"] == 0
+    assert out_path.read_text().count("\n# graph ") == 20
+
+
 @pytest.mark.parametrize("earlier", [None, "an earlier report\n"])
 def test_crashed_sweep_leaves_no_report(tmp_path, capsys, monkeypatch, earlier):
     from chipfire import experiments

@@ -48,6 +48,10 @@ def test_divisor_rejects_non_integers():
         Divisor((1.5, 0))
     with pytest.raises(TypeError):
         Divisor(("1", 0))
+    with pytest.raises(TypeError):
+        Divisor((True, False))
+    with pytest.raises(TypeError):
+        Divisor((np.bool_(True), 0))
 
 
 def test_degree():
@@ -150,6 +154,10 @@ def test_specialize_rejects_non_integers():
         cf.specialize(G, [(1.7, 2.5)])
     with pytest.raises(TypeError):
         cf.specialize(G, [(1, 2.5)])
+    with pytest.raises(TypeError):
+        cf.specialize(G, [(True, 2)])
+    with pytest.raises(TypeError):
+        cf.specialize(G, [(1, False)])
     assert cf.specialize(G, [(np.int64(2), np.int32(3))]).coeffs == (0, 3)
 
 

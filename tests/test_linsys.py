@@ -44,6 +44,8 @@ def test_apply_firing_rejects_non_integers():
     G = cf.path_graph(2)
     with pytest.raises(TypeError):
         apply_firing(G, (1, 0), (0.9, 0))
+    with pytest.raises(TypeError):
+        apply_firing(G, (1, 0), (True, 0))
     assert apply_firing(G, (1, 0), (np.int64(1), np.int32(0))).coeffs == (2, -1)
 
 
@@ -106,6 +108,39 @@ def test_equivalent_divisors_share_system():
     D = Divisor((2, 0, 0, 0, 0))
     shifted = apply_firing(G, D, (0, 1, 1, 0, 0))
     assert linear_system(G, D).divisors == linear_system(G, shifted).divisors
+
+
+# A simple graph on 10 vertices with invariant factors (1, ..., 1, 754495, 0)
+# whose diagonalizing transform U has 50-bit entries.
+WIDE_TRANSFORM_GRAPH = (
+    (0, 0, 1, 1, 1, 0, 1, 1, 0, 1),
+    (0, 0, 1, 0, 0, 1, 0, 0, 1, 1),
+    (1, 1, 0, 0, 1, 1, 1, 0, 1, 0),
+    (1, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    (1, 0, 1, 0, 0, 1, 1, 1, 1, 1),
+    (0, 1, 1, 0, 1, 0, 1, 1, 1, 0),
+    (1, 0, 1, 0, 1, 1, 0, 1, 1, 0),
+    (1, 0, 0, 1, 1, 1, 1, 0, 1, 1),
+    (0, 1, 1, 0, 1, 1, 1, 1, 0, 0),
+    (1, 1, 0, 1, 1, 0, 0, 1, 0, 0),
+)
+
+
+def test_class_keys_keep_only_nontrivial_factors():
+    G = cf.Multigraph.from_adjacency(WIDE_TRANSFORM_GRAPH)
+    rows, moduli = linsys._class_data(G)
+    assert moduli.tolist() == [754495, 0]
+    assert (rows[0] >= 0).all() and (rows[0] < 754495).all()
+    assert abs(rows[1]).tolist() == [1] * 10
+    assert cf.rank(G, Divisor.zero(10)).rank == 0
+    D = Divisor((2, 3, 2, 3, 1, 3, 1, 0, 1, 2))  # degree g - 1 = 18
+    assert cf.rank(G, D).rank == 2
+    assert verify_rr_graph(G, D)
+    for f in [(1, -2, 0, 3, 0, 0, 1, 0, 0, 5), (0,) * 9 + (7,), (4, 4, 4, 4, 4, 4, 4, 4, 4, 4)]:
+        assert linsys._class_key(G, apply_firing(G, D, f)) == linsys._class_key(G, D)
+    assert linsys._class_key(G, Divisor((0,) * 9 + (1,))) != linsys._class_key(
+        G, Divisor((1,) + (0,) * 9)
+    )
 
 
 def test_is_effective_equivalent():

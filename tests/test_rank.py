@@ -37,7 +37,8 @@ def test_effective_divisors_degree_zero_and_errors():
 
 
 def test_window_divisors_match_brute_enumeration():
-    for n, d, window in [(2, 0, 2), (3, 1, 1), (3, -2, 2), (4, 3, 1)]:
+    cases = [(2, 0, 2), (3, 1, 1), (3, -2, 2), (4, 3, 1), (1, 2, 0), (4, 3, 0), (2, -1, 0)]
+    for n, d, window in cases:
         expected = sorted(
             coeffs
             for coeffs in itertools.product(range(-window, d + window + 1), repeat=n)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -23,6 +24,8 @@ from chipfire import (
     toric_rank,
     verify_rr_toric,
 )
+
+from .helpers import brute_toric_rank, connected_multigraphs_up_to_iso
 
 # Fixture: a 5x6 generic matrix with this exact support describes the
 # divisor (0, 1, 1, 0) on the 4-vertex graph with edge set
@@ -309,6 +312,44 @@ def test_toric_memo_counts_disagreeing_reads(monkeypatch):
     assert calls == [(0, 0, 0, 0), (1, 0, 0, 0)]
     assert memo.disagreement_reads == 3
     assert memo.trial_disagreements() == [(0, 0, 0, 0)]
+
+
+def test_toric_rank_matches_definition_oracle():
+    cfg = ToricConfig(trials=1)
+    for G in connected_multigraphs_up_to_iso(3, 2) + [cf.cycle_graph(4)]:
+        g = cf.genus(G)
+        for d in range(-1, 2 * g):
+            for coeffs in itertools.product(range(-1, d + 2), repeat=G.n):
+                if sum(coeffs) != d:
+                    continue
+                got = toric_rank(G, coeffs, cfg)
+                expected = brute_toric_rank(G, coeffs, cfg)
+                assert (got.rank, got.witness_failure.coeffs) == expected, (G.adj, coeffs)
+
+
+def test_toric_candidate_sequence_is_pinned(monkeypatch):
+    # The candidates reaching toric_effective_test, in order, recorded
+    # from the toric rank scan before it was shared with rank: the scan
+    # tries members in order and stops at the first failing removal.
+    real = cf.toric.toric_effective_test
+    calls = []
+
+    def spy(H, d, config=None):
+        calls.append(",".join(map(str, d.coeffs)))
+        return real(H, d, config)
+
+    monkeypatch.setattr(cf.toric, "toric_effective_test", spy)
+    cfg = ToricConfig()
+    for G in (cf.cycle_graph(3), cf.cycle_graph(4), cf.cycle_graph(5), cf.complete_graph(4)):
+        memo = ToricMemo(G, cfg)
+        K = cf.canonical_divisor(G)
+        for coeffs in itertools.product(range(-1, 3), repeat=G.n):
+            D = Divisor(coeffs)
+            toric_rank(G, D, cfg, memo)
+            toric_rank(G, K - D, cfg, memo)
+    assert len(calls) == 182
+    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+    assert digest == "1b80801cbed8ea30424b5c3a2d0921f6bfc571d4c5d16c2f863c16a20ae8c51e"
 
 
 def test_toric_memo_validation():
