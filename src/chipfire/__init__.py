@@ -44,7 +44,6 @@ from .toric import (
     DEFAULT_PRIME,
     NodeConstraintMatrix,
     NonEffectiveDivisorError,
-    PrimeField,
     ToricConfig,
     ToricMemo,
     ToricOutcome,
@@ -108,7 +107,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "NodeConstraintMatrix",
     "NonEffectiveDivisorError",
-    "PrimeField",
     "ToricConfig",
     "ToricMemo",
     "ToricOutcome",

@@ -124,6 +124,11 @@ def _cmd_toric_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _toric_settings(cfg: ToricConfig) -> dict:
+    """The toric settings printed with a violation reproducer."""
+    return {"seed": cfg.seed, "prime": cfg.prime, "trials": cfg.trials, "mode": cfg.mode}
+
+
 def _reproducer(G: Multigraph, D: Divisor, extra: dict | None = None) -> None:
     obj = {"graph": encode_adjacency(G), "divisor": list(D.coeffs)}
     if extra:
@@ -164,7 +169,7 @@ def _cmd_toric_rr_check(args: argparse.Namespace) -> int:
         }
     )
     if residual != 0:
-        _reproducer(G, D, {"seed": cfg.seed, "prime": cfg.prime, "trials": cfg.trials, "mode": cfg.mode})
+        _reproducer(G, D, _toric_settings(cfg))
         return 1
     return 0
 
@@ -173,18 +178,9 @@ def _finish_driver(report: ExperimentReport) -> int:
     _emit(report.summary)
     print(f"wall_clock_seconds={report.wall_clock_seconds:.3f}", file=sys.stderr)
     if report.violation_count:
-        cfg = report.config
+        settings = _toric_settings(report.config.toric_config())
         for rec in report.violations[:20]:
-            _reproducer(
-                report.graphs[rec.graph_id],
-                Divisor(rec.divisor),
-                {
-                    "seed": cfg.seed,
-                    "prime": cfg.resolved_prime(),
-                    "trials": cfg.trials,
-                    "mode": cfg.toric_mode,
-                },
-            )
+            _reproducer(report.graphs[rec.graph_id], Divisor(rec.divisor), settings)
         return 1
     return 0
 

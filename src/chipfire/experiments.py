@@ -38,7 +38,6 @@ from .toric import (
     ToricConfig,
     ToricMemo,
     derive_seed,
-    is_prime,
     toric_rank,
 )
 
@@ -113,12 +112,10 @@ class ExperimentConfig:
                 raise ConfigError("empty degree range")
         if self.window is not None and self.window < 0:
             raise ConfigError("window must be nonnegative")
-        if self.prime is not None and not is_prime(self.prime):
-            raise ConfigError(f"{self.prime} fails the primality check")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        if self.toric_mode not in ("block-projection", "random-vector"):
-            raise ConfigError(f"unknown toric mode {self.toric_mode!r}")
+        try:
+            self.toric_config()
+        except ValueError as exc:  # prime, trials, toric_mode
+            raise ConfigError(str(exc)) from exc
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.cases < 0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -192,12 +191,6 @@ class Multigraph:
     @property
     def n(self) -> int:
         return len(self.adj)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        a = np.array(self.adj, dtype=np.int64)
-        a.flags.writeable = False
-        return a
 
     def adjacency_array(self) -> np.ndarray:
         """Fresh writable copy of the adjacency matrix."""

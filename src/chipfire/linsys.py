@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -75,10 +76,12 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # expensive member enumeration run once per class instead of once per
 # divisor.  Keys keep only the nontrivial invariant factors: rows with
 # S_ii = 1 say nothing and are dropped, and the rows with S_ii > 1 are
-# reduced mod S_ii, so key arithmetic stays small even where U itself
-# has entries past 2^40.  (The row with S_ii = 0 is +-(1, ..., 1) on a
-# connected graph.)  Only the key is derived; no reduced representative
-# divisor is ever produced or exposed.
+# reduced mod S_ii, so key entries stay below the largest factor even
+# where U itself has entries past 2^40.  (The row with S_ii = 0 is
+# +-(1, ..., 1) on a connected graph.)  Factors themselves pass 2^40 on
+# some 16-vertex graphs, so the int64 bound is checked per batch, on
+# the product that can overflow.  Only the key is derived; no reduced
+# representative divisor is ever produced or exposed.
 
 
 def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -144,32 +147,31 @@ def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     return tuple(tuple(row) for row in U), diag
 
 
-_CLASS_DATA_LOCK = threading.Lock()
-_CLASS_DATA: dict[Multigraph, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=256)
 def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     """The key rows of U (reduced mod their invariant factor) and those
-    factors, for the invariant factors other than 1."""
-    with _CLASS_DATA_LOCK:
-        hit = _CLASS_DATA.get(G)
-    if hit is not None:
-        return hit
+    factors, for the invariant factors other than 1; both read-only."""
     U, diag = _snf_left(laplacian(G).tolist())
     kept = [(tuple(x % s for x in row) if s else row, s) for row, s in zip(U, diag) if s != 1]
-    if any(abs(x) >= 1 << 40 for row, _ in kept for x in row):
-        raise OverflowError("unexpected transform growth in Laplacian diagonalization")
+    if any(s >= 1 << 62 for _, s in kept):
+        raise OverflowError("invariant factor of the Laplacian past 2^62")
     rows = np.array([row for row, _ in kept], dtype=np.int64).reshape(len(kept), G.n)
-    value = (rows, np.array([s for _, s in kept], dtype=np.int64))
-    with _CLASS_DATA_LOCK:
-        _CLASS_DATA[G] = value
-    return value
+    moduli = np.array([s for _, s in kept], dtype=np.int64)
+    rows.flags.writeable = moduli.flags.writeable = False
+    return rows, moduli
 
 
 def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
-    """Class keys for an (m, n) array of divisors, one key row each."""
+    """Class keys for an (m, n) array of divisors, one key row each.
+
+    Each key entry is a sum of n products of a divisor entry and a key
+    row entry, so int64 holds it while max|U| * n * max|D| < 2^63.
+    """
     U, moduli = _class_data(G)
-    keys = divisors.astype(np.int64) @ U.T
+    divisors = divisors.astype(np.int64)
+    if int(np.abs(U).max(initial=0)) * G.n * int(np.abs(divisors).max(initial=0)) >= 1 << 63:
+        raise OverflowError("class key past the int64 range")
+    keys = divisors @ U.T
     return np.remainder(keys, moduli, out=keys, where=moduli != 0)
 
 

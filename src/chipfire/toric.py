@@ -18,6 +18,12 @@ silently.
 
 All randomness is position-addressed from explicit integer seeds, so
 identical inputs give identical outcomes regardless of evaluation order.
+
+Field elements are plain Python ints in [0, p): products near p^2 ~ 1e20
+exceed 64-bit range, so no field arithmetic here goes through numpy.  The
+prime is checked once, where it enters (ToricConfig and the two public
+matrix builders); the per-trial matrices of toric_effective_test run no
+primality test.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .rank import RankResult, _rank_scan
 __all__ = [
     "DEFAULT_PRIME",
     "NonEffectiveDivisorError",
-    "PrimeField",
     "NodeConstraintMatrix",
     "ToricConfig",
     "ToricOutcome",
@@ -103,9 +108,12 @@ def next_prime(m: int) -> int:
     return c
 
 
-DEFAULT_PRIME = next_prime(10**10)
-if DEFAULT_PRIME != 10_000_000_019:
-    raise ArithmeticError("DEFAULT_PRIME != 10_000_000_019")
+DEFAULT_PRIME = 10_000_000_019  # next_prime(10**10)
+
+
+def _check_prime(prime: int) -> None:
+    if not is_prime(prime):
+        raise ValueError(f"prime {prime} fails the primality check")
 
 
 _SEED_SEP = b"\x1f"
@@ -134,36 +142,6 @@ def _field_element(seed: int, *tags: object, p: int, nonzero: bool = False) -> i
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic modulo a verified prime.
-
-    Elements are plain Python ints in [0, p); products near p^2 ~ 1e20
-    exceed 64-bit range, which is why none of the field arithmetic in
-    this module goes through numpy.
-    """
-
-    modulus: int = DEFAULT_PRIME
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-
-    def normalize(self, x: int) -> int:
-        return x % self.modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def inverse(self, a: int) -> int:
-        if a % self.modulus == 0:
-            raise ZeroDivisionError("no inverse of zero in a prime field")
-        return pow(a, -1, self.modulus)
-
-
-@dataclass(frozen=True)
 class ToricConfig:
     """Knobs for the generic-curve model.
 
@@ -181,12 +159,11 @@ class ToricConfig:
     nonzero_entries: bool = False
 
     def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"prime {self.prime} fails the primality check")
+        _check_prime(self.prime)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.mode not in ("block-projection", "random-vector"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown toric mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -195,14 +172,14 @@ class NodeConstraintMatrix:
 
     Block i has width d_i + 1 for the candidate divisor d; the entry in
     row {i, j} may be nonzero only inside blocks i and j.  block_spans
-    gives the half-open column range of each block; edge_rows records
-    which edge produced each row (None for pattern-built fixtures).
+    gives the half-open column range of each block.  modulus is taken as
+    prime: the builders below and ToricConfig check it where it enters,
+    and kernel_basis runs no check of its own.
     """
 
     entries: tuple[tuple[int, ...], ...]
     modulus: int
     block_spans: tuple[tuple[int, int], ...]
-    edge_rows: tuple[tuple[int, int], ...] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -214,22 +191,6 @@ class NodeConstraintMatrix:
             return len(self.entries[0])
         return self.block_spans[-1][1] if self.block_spans else 0
 
-    @classmethod
-    def from_entries(
-        cls,
-        entries: Sequence[Sequence[int]],
-        modulus: int,
-        block_spans: Sequence[tuple[int, int]],
-        edge_rows: Sequence[tuple[int, int]] | None = None,
-    ) -> "NodeConstraintMatrix":
-        rows = tuple(tuple(int(x) % modulus for x in r) for r in entries)
-        return cls(
-            entries=rows,
-            modulus=modulus,
-            block_spans=tuple((int(a), int(b)) for a, b in block_spans),
-            edge_rows=tuple((int(i), int(j)) for i, j in edge_rows) if edge_rows else None,
-        )
-
 
 def _block_spans(d: Divisor) -> tuple[tuple[int, int], ...]:
     spans = []
@@ -238,6 +199,37 @@ def _block_spans(d: Divisor) -> tuple[tuple[int, int], ...]:
         spans.append((start, start + c + 1))
         start += c + 1
     return tuple(spans)
+
+
+def _fill(
+    mask_rows: Sequence[Sequence[int]], rng_seed: int, prime: int, nonzero_entries: bool
+) -> tuple[tuple[int, ...], ...]:
+    """Generic field elements at the positions flagged 1, entry (r, c)
+    addressed by (rng_seed, r, c); zeros elsewhere."""
+    rows = []
+    for r, mask in enumerate(mask_rows):
+        row = [
+            _field_element(rng_seed, r, c, p=prime, nonzero=nonzero_entries) if flag else 0
+            for c, flag in enumerate(mask)
+        ]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _generic_matrix(
+    G: Multigraph, d: Divisor, rng_seed: int, prime: int, nonzero_entries: bool
+) -> NodeConstraintMatrix:
+    """build_constraint_matrix without its checks: d must be effective
+    and prime must be prime."""
+    spans = _block_spans(d)
+    ncols = spans[-1][1]
+    mask = []
+    for i, j in G.edges():
+        row = [0] * ncols
+        for lo, hi in (spans[i], spans[j]):
+            row[lo:hi] = [1] * (hi - lo)
+        mask.append(row)
+    return NodeConstraintMatrix(_fill(mask, rng_seed, prime, nonzero_entries), prime, spans)
 
 
 def build_constraint_matrix(
@@ -250,33 +242,16 @@ def build_constraint_matrix(
 ) -> NodeConstraintMatrix:
     """Node-compatibility matrix for an effective divisor d.
 
-    Row r corresponds to edge r in canonical order; its generic entries
-    occupy the two endpoint blocks and are addressed by (rng_seed, r, c),
-    so the same seed always reproduces the same matrix.  Columns total
-    degree(d) + n and rows total |E| = n + g - 1.
+    Row r corresponds to edge r in canonical order (``G.edges()``); its
+    generic entries occupy the two endpoint blocks and are addressed by
+    (rng_seed, r, c), so the same seed always reproduces the same matrix.
+    Columns total degree(d) + n and rows total |E| = n + g - 1.
     """
     d = _coerce_divisor(d, G.n)
     if not d.is_effective():
         raise NonEffectiveDivisorError(f"divisor {d.coeffs} has a negative coefficient")
-    if not is_prime(prime):
-        raise ValueError(f"prime {prime} fails the primality check")
-    spans = _block_spans(d)
-    ncols = spans[-1][1]
-    edges = G.edges()
-    rows = []
-    for r, (i, j) in enumerate(edges):
-        row = [0] * ncols
-        for block in (i, j):
-            lo, hi = spans[block]
-            for c in range(lo, hi):
-                row[c] = _field_element(rng_seed, r, c, p=prime, nonzero=nonzero_entries)
-        rows.append(tuple(row))
-    return NodeConstraintMatrix(
-        entries=tuple(rows),
-        modulus=prime,
-        block_spans=spans,
-        edge_rows=tuple(edges),
-    )
+    _check_prime(prime)
+    return _generic_matrix(G, d, rng_seed, prime, nonzero_entries)
 
 
 def constraint_matrix_from_pattern(
@@ -293,23 +268,14 @@ def constraint_matrix_from_pattern(
     generic entry addressed exactly as in build_constraint_matrix.  When
     block_spans is omitted every column is its own width-1 block.
     """
+    _check_prime(prime)
     ncols = len(mask_rows[0])
     if any(len(r) != ncols for r in mask_rows):
         raise ValueError("ragged mask")
     if block_spans is None:
         block_spans = tuple((c, c + 1) for c in range(ncols))
-    rows = []
-    for r, mask in enumerate(mask_rows):
-        row = [
-            _field_element(rng_seed, r, c, p=prime, nonzero=nonzero_entries) if flag else 0
-            for c, flag in enumerate(mask)
-        ]
-        rows.append(tuple(row))
     return NodeConstraintMatrix(
-        entries=tuple(rows),
-        modulus=prime,
-        block_spans=tuple(block_spans),
-        edge_rows=None,
+        _fill(mask_rows, rng_seed, prime, nonzero_entries), prime, tuple(block_spans)
     )
 
 
@@ -389,9 +355,7 @@ def _blocks_supported(
 def _single_trial(
     G: Multigraph, d: Divisor, sample_seed: int, config: ToricConfig
 ) -> ToricOutcome:
-    M = build_constraint_matrix(
-        G, d, sample_seed, prime=config.prime, nonzero_entries=config.nonzero_entries
-    )
+    M = _generic_matrix(G, d, sample_seed, config.prime, config.nonzero_entries)
     basis = kernel_basis(M)
     kdim = len(basis)
     if config.mode == "block-projection":

@@ -143,6 +143,27 @@ def test_class_keys_keep_only_nontrivial_factors():
     )
 
 
+@pytest.mark.parametrize(
+    "seed, factors", [(3, [2, 3_588_816_650_934, 0]), (6, [15_780_380_899_397, 0])]
+)
+def test_class_keys_past_40_bit_factors(seed, factors):
+    # Invariant factors of 42 and 44 bits: key rows reduced mod them stay
+    # below 2^44, so int64 keys hold for any divisor of moderate size.
+    G = cf.random_connected_graph(16, seed)
+    rows, moduli = linsys._class_data(G)
+    assert moduli.tolist() == factors
+    assert not rows.flags.writeable and not moduli.flags.writeable
+    e = [Divisor(tuple(int(i == v) for i in range(16))) for v in range(2)]
+    assert cf.rank(G, Divisor.zero(16)).rank == 0
+    assert cf.rank(G, e[0]).rank == 0
+    D = Divisor((3, 0, 1, 2) * 4)
+    f = (1, -2, 0, 3) + (0,) * 11 + (5,)
+    assert linsys._class_key(G, apply_firing(G, D, f)) == linsys._class_key(G, D)
+    assert linsys._class_key(G, e[0]) != linsys._class_key(G, e[1])
+    with pytest.raises(OverflowError):  # 2^44 * 16 * 10^7 > 2^63
+        linsys._class_key(G, Divisor((10**7,) + (0,) * 15))
+
+
 def test_is_effective_equivalent():
     G = cf.cycle_graph(4)
     assert is_effective_equivalent(G, (1, -1, 1, 0))
@@ -225,3 +246,7 @@ def test_linear_system_and_rr_on_random_multigraphs(case):
         helpers._OFFSET_CACHE.clear()  # one entry per random graph otherwise
     assert {d.coeffs for d in linear_system(G, coeffs)} == expected
     assert verify_rr_graph(G, coeffs)
+    if G.n <= 4:  # the toric scan on n = 5 multigraphs takes minutes
+        memo = cf.ToricMemo(G, cf.ToricConfig())
+        assert cf.toric_rank(G, coeffs, memo=memo).rank <= cf.rank(G, coeffs).rank
+        assert cf.verify_rr_toric(G, coeffs, memo=memo)

@@ -10,7 +10,6 @@ from chipfire import (
     Divisor,
     NodeConstraintMatrix,
     NonEffectiveDivisorError,
-    PrimeField,
     ToricConfig,
     ToricMemo,
     build_constraint_matrix,
@@ -73,18 +72,6 @@ def test_derive_seed_stable_and_sensitive():
     assert 0 <= a < 1 << 64
 
 
-def test_prime_field_ops():
-    F = PrimeField(7)
-    assert F.normalize(-1) == 6
-    assert F.add(5, 4) == 2
-    assert F.mul(3, 5) == 1
-    assert F.inverse(3) == 5
-    with pytest.raises(ZeroDivisionError):
-        F.inverse(0)
-    with pytest.raises(ValueError):
-        PrimeField(6)
-
-
 def test_toric_config_validation():
     with pytest.raises(ValueError):
         ToricConfig(prime=10)
@@ -104,7 +91,6 @@ def test_constraint_matrix_shape_single_edge():
     assert M.n_rows == 1
     assert M.n_cols == 2
     assert M.block_spans == ((0, 1), (1, 2))
-    assert M.edge_rows == ((0, 1),)
     assert all(x != 0 for x in M.entries[0])  # generically nonzero
 
 
@@ -145,6 +131,39 @@ def test_constraint_matrix_deterministic():
     assert a.entries != c.entries
 
 
+@pytest.mark.parametrize(
+    "G, coeffs, digest",
+    [
+        (
+            cf.cycle_graph(4),
+            (1, 0, 2, 0),
+            "0a6be94983f7d97586a3f1f1a4a3c3a68a09da497752cd34ee619841eab6f4f7",
+        ),
+        (
+            cf.complete_graph(4),
+            (0, 1, 0, 2),
+            "1c60a82e21920dfc1fce9dcabce3d3ed11d9497d2186e218c1adba36702148fe",
+        ),
+        (
+            STAR_GRAPH,
+            STAR_DIVISOR,
+            "35e7776ed746252a52f75936ddaa2f8c1f3ddc88b00454d819a36f685c2f2cbb",
+        ),
+    ],
+    ids=["C4", "K4", "star"],
+)
+def test_generic_matrices_are_pinned(G, coeffs, digest):
+    # Every toric verdict and report byte rests on these entries: any
+    # change to the element addressing or the fill shows up here first.
+    h = hashlib.sha256()
+    for seed in range(4):
+        for prime in (5, 7, DEFAULT_PRIME):
+            for nonzero in (False, True):
+                M = build_constraint_matrix(G, coeffs, seed, prime=prime, nonzero_entries=nonzero)
+                h.update(repr(M.entries).encode())
+    assert h.hexdigest() == digest
+
+
 def test_star_pattern_reconstruction():
     M = build_constraint_matrix(STAR_GRAPH, STAR_DIVISOR, rng_seed=7)
     mask = tuple(tuple(int(bool(x)) for x in row) for row in M.entries)
@@ -165,21 +184,19 @@ def test_pattern_matrix_matches_divisor_matrix():
 def test_pattern_matrix_validation_and_default_spans():
     with pytest.raises(ValueError):
         constraint_matrix_from_pattern([(1, 0), (1,)], rng_seed=0)
+    with pytest.raises(ValueError):  # Z/9 is not a field
+        constraint_matrix_from_pattern([(1, 1)], rng_seed=0, prime=9)
     M = constraint_matrix_from_pattern([(1, 1, 0)], rng_seed=0)
     assert M.block_spans == ((0, 1), (1, 2), (2, 3))
 
 
 def test_kernel_basis_identity_and_zero():
     p = 101
-    ident = NodeConstraintMatrix.from_entries(
-        [[1, 0], [0, 1]], p, block_spans=[(0, 1), (1, 2)]
-    )
+    ident = NodeConstraintMatrix(((1, 0), (0, 1)), p, ((0, 1), (1, 2)))
     assert kernel_basis(ident) == []
     assert matrix_rank(ident) == 2
 
-    zero = NodeConstraintMatrix.from_entries(
-        [[0, 0, 0]], p, block_spans=[(0, 1), (1, 2), (2, 3)]
-    )
+    zero = NodeConstraintMatrix(((0, 0, 0),), p, ((0, 1), (1, 2), (2, 3)))
     basis = kernel_basis(zero)
     assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert matrix_rank(zero) == 0
@@ -198,9 +215,7 @@ def test_kernel_vectors_annihilate_matrix():
 def test_kernel_basis_canonical_form():
     # one vector per free column, unit entry at the free position
     p = 13
-    M = NodeConstraintMatrix.from_entries(
-        [[1, 2, 3], [2, 4, 6]], p, block_spans=[(0, 3)]
-    )
+    M = NodeConstraintMatrix(((1, 2, 3), (2, 4, 6)), p, ((0, 3),))
     basis = kernel_basis(M)
     assert len(basis) == 2
     assert basis[0][1] == 1 and basis[0][2] == 0
