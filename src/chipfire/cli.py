@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import fields
 
 from .experiments import (
     ConfigError,
@@ -74,17 +75,13 @@ def _parse_divisor(text: str, n: int) -> Divisor:
     return Divisor(coeffs)
 
 
-def _toric_config(args: argparse.Namespace) -> ToricConfig:
-    try:
-        return ToricConfig(
-            prime=DEFAULT_PRIME if args.prime is None else args.prime,
-            trials=args.trials,
-            mode=args.mode,
-            seed=args.seed,
-            nonzero_entries=args.nonzero_entries,
-        )
-    except ValueError as exc:  # --prime, --trials: bad input, not a crash
-        raise ConfigError(str(exc)) from exc
+def _config(args: argparse.Namespace, **fixed) -> ExperimentConfig:
+    """The validated run configuration: every parsed flag whose dest
+    names an ExperimentConfig field, plus the given fixed fields."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names}, **fixed)
+    cfg.validate()
+    return cfg
 
 
 def _emit(obj: dict) -> None:
@@ -97,10 +94,11 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_toric_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prime", type=int, default=None, help="field modulus (default: first prime past 1e10)")
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="field modulus (default: first prime past 1e10)")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument(
         "--mode",
+        dest="toric_mode",
         choices=("block-projection", "random-vector"),
         default="block-projection",
     )
@@ -119,7 +117,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_toric_rank(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     D = _parse_divisor(args.divisor, G.n)
-    res = toric_rank(G, D, _toric_config(args))
+    res = toric_rank(G, D, _config(args).toric_config())
     _emit({"toric_rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)})
     return 0
 
@@ -153,7 +151,7 @@ def _cmd_rr_check(args: argparse.Namespace) -> int:
 def _cmd_toric_rr_check(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     D = _parse_divisor(args.divisor, G.n)
-    cfg = _toric_config(args)
+    cfg = _config(args).toric_config()
     memo = ToricMemo(G, cfg)
     K = canonical_divisor(G)
     rt = toric_rank(G, D, cfg, memo).rank
@@ -186,45 +184,11 @@ def _finish_driver(report: ExperimentReport) -> int:
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        mode="exhaustive",
-        max_vertices=args.max_vertices,
-        genus_min=args.genus_min,
-        genus_max=args.genus_max,
-        degree_min=args.degree_min,
-        degree_max=args.degree_max,
-        window=args.window,
-        prime=args.prime,
-        trials=args.trials,
-        toric_mode=args.mode,
-        seed=args.seed,
-        toric=args.toric,
-        nonzero_entries=args.nonzero_entries,
-        output_format=args.format,
-        output_path=args.out,
-        workers=args.workers,
-        max_multiplicity=args.max_multiplicity,
-    )
-    return _finish_driver(run_exhaustive(cfg))
+    return _finish_driver(run_exhaustive(_config(args, mode="exhaustive")))
 
 
 def _cmd_random_sweep(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        mode="random-sweep",
-        prime=args.prime,
-        trials=args.trials,
-        toric_mode=args.mode,
-        seed=args.seed,
-        toric=args.toric,
-        nonzero_entries=args.nonzero_entries,
-        output_format=args.format,
-        output_path=args.out,
-        cases=args.cases,
-        min_genus=args.min_genus,
-        n_min=args.n_min,
-        n_max=args.n_max,
-    )
-    return _finish_driver(run_random_sweep(cfg))
+    return _finish_driver(run_random_sweep(_config(args, mode="random-sweep")))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-multiplicity", type=int, default=3)
     p.add_argument("--toric", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="report file path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", dest="output_path", metavar="OUT", help="report file path")
+    p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
     _add_toric_args(p)
     p.set_defaults(func=_cmd_exhaustive)
 
@@ -273,8 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--toric", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--out", default=None, help="report file path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", dest="output_path", metavar="OUT", help="report file path")
+    p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
     _add_toric_args(p)
     p.set_defaults(func=_cmd_random_sweep)
 

@@ -27,9 +27,9 @@ import numpy as np
 from .graphs import (
     Divisor,
     Multigraph,
+    _connected,
     canonical_divisor,
     genus,
-    is_connected,
 )
 from .linsys import _class_keys_batch, _row_keys
 from .rank import _compositions_array, rank
@@ -81,7 +81,7 @@ class ExperimentConfig:
     degree_min: int | None = None
     degree_max: int | None = None
     window: int | None = None
-    prime: int | None = None
+    prime: int = DEFAULT_PRIME
     trials: int = 3
     toric_mode: str = "block-projection"
     seed: int = 0
@@ -137,12 +137,9 @@ class ExperimentConfig:
                     f"of a simple connected graph on at most {self.n_max} vertices"
                 )
 
-    def resolved_prime(self) -> int:
-        return DEFAULT_PRIME if self.prime is None else self.prime
-
     def toric_config(self) -> ToricConfig:
         return ToricConfig(
-            prime=self.resolved_prime(),
+            prime=self.prime,
             trials=self.trials,
             mode=self.toric_mode,
             seed=self.seed,
@@ -217,7 +214,7 @@ def random_connected_graph(n: int, rng_seed: int) -> Multigraph:
         for i in range(n):
             for j in range(i + 1, n):
                 adj[i][j] = adj[j][i] = rng.randrange(2)
-        if is_connected(adj):
+        if _connected(adj):
             return Multigraph.from_adjacency(adj)
 
 
@@ -294,7 +291,7 @@ def enumerate_treeless_graphs(
 
             def rec(k: int, remaining: int) -> None:
                 if k == len(cells):
-                    if remaining == 0 and degs[n - 1] >= degs[n - 2] and is_connected(adj):
+                    if remaining == 0 and degs[n - 1] >= degs[n - 2] and _connected(adj):
                         forms.add(_degree_class_canonical(tuple(map(tuple, adj))))
                     return
                 if remaining > (len(cells) - k) * max_multiplicity:
@@ -448,9 +445,7 @@ _ECHO_FIELDS = (
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = {name: getattr(config, name) for name in _ECHO_FIELDS}
-    echo["prime"] = config.resolved_prime()
-    return echo
+    return {name: getattr(config, name) for name in _ECHO_FIELDS}
 
 
 def _int_cells(values: np.ndarray) -> list[str]:

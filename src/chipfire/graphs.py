@@ -146,21 +146,9 @@ def _validate_adjacency(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-def is_connected(graph: "Multigraph | Sequence[Sequence[int]]") -> bool:
-    """True iff the multigraph on the given adjacency matrix is connected.
-
-    Accepts either a ``Multigraph`` (trivially true by construction) or a
-    raw adjacency matrix, so the constructor itself and tests probing
-    disconnected input can share this check.  A single vertex counts as
-    connected.
-    """
-    if isinstance(graph, Multigraph):
-        adj = graph.adj
-    else:
-        adj = tuple(tuple(int(v) for v in row) for row in graph)
+def _connected(adj: Sequence[Sequence[int]]) -> bool:
+    """Depth-first search over a nonempty integer adjacency matrix."""
     n = len(adj)
-    if n == 0:
-        raise InvalidGraphError("empty adjacency matrix")
     seen = {0}
     stack = [0]
     while stack:
@@ -172,6 +160,20 @@ def is_connected(graph: "Multigraph | Sequence[Sequence[int]]") -> bool:
     return len(seen) == n
 
 
+def is_connected(graph: "Multigraph | Sequence[Sequence[int]]") -> bool:
+    """True iff the multigraph on the given adjacency matrix is connected.
+
+    Accepts either a ``Multigraph`` (trivially true by construction) or a
+    raw adjacency matrix, which is validated as ``Multigraph`` validates
+    it: a non-integer, bool, negative, asymmetric or diagonal entry, or
+    an empty matrix, raises ``InvalidGraphError``.  A single vertex
+    counts as connected.
+    """
+    if isinstance(graph, Multigraph):
+        return True
+    return _connected(_validate_adjacency(graph))
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """Connected multigraph stored by its adjacency matrix."""
@@ -180,7 +182,7 @@ class Multigraph:
 
     def __post_init__(self) -> None:
         adj = _validate_adjacency(self.adj)
-        if not is_connected(adj):
+        if not _connected(adj):
             raise InvalidGraphError("graph is not connected")
         object.__setattr__(self, "adj", adj)
 
@@ -234,9 +236,9 @@ def canonical_divisor(G: Multigraph) -> Divisor:
 
 
 def degree(D: DivisorLike) -> int:
-    """Total number of chips of a divisor."""
-    d = D.coeffs if isinstance(D, Divisor) else D
-    return int(sum(int(c) for c in d))
+    """Total number of chips of a divisor.  A raw sequence must hold
+    integers; 1.5 or True raises TypeError, as in ``Divisor``."""
+    return sum(D.coeffs if isinstance(D, Divisor) else _as_ints(D))
 
 
 def max_vertex_degree(G: Multigraph) -> int:

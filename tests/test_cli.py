@@ -1,4 +1,6 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -267,3 +269,80 @@ def test_sweep_report_replaces_earlier_file(tmp_path, capsys):
     assert main(argv) == 0
     assert out_path.read_text().startswith("# chipfire-report v1\n")
     assert list(tmp_path.iterdir()) == [out_path]
+
+
+# every flag of the command with a non-default value, and the config
+# fields those values must land in
+_SWEEP_FLAGS = {
+    "exhaustive": (
+        "--max-vertices 3 --genus-min 3 --genus-max 3 --degree-min 0 --degree-max 1"
+        " --window 1 --max-multiplicity 2 --workers 2",
+        dict(
+            max_vertices=3, genus_min=3, genus_max=3, degree_min=0, degree_max=1,
+            window=1, max_multiplicity=2, workers=2,
+        ),
+    ),
+    "random-sweep": (
+        "--cases 2 --min-genus 2 --n-min 4 --n-max 5",
+        dict(cases=2, min_genus=2, n_min=4, n_max=5),
+    ),
+}
+_TORIC_FLAGS = "--prime 7 --trials 2 --mode random-vector --seed 4 --nonzero-entries"
+_TORIC_VALUES = dict(prime=7, trials=2, toric_mode="random-vector", seed=4, nonzero_entries=True)
+
+
+def _flag_dests(command: str) -> set[str]:
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["exhaustive", "random-sweep"])
+def test_every_sweep_flag_reaches_the_config(tmp_path, capsys, monkeypatch, command, fmt):
+    flags, values = _SWEEP_FLAGS[command]
+    out_path = str(tmp_path / f"r.{fmt}")
+    argv = [
+        command, *flags.split(), *_TORIC_FLAGS.split(), "--no-toric",
+        "--format", fmt, "--out", out_path,
+    ]
+    given = dict(values, **_TORIC_VALUES, toric=False, output_format=fmt, output_path=out_path)
+    assert _flag_dests(command) == set(given)  # no flag left untested
+    expected = ExperimentConfig(mode=command, **given)
+    default = ExperimentConfig(mode=command)
+    changed = {k for k in given if getattr(default, k) != given[k]}
+    assert changed == set(given) - ({"output_format"} if fmt == "json" else set())
+
+    driver = "run_exhaustive" if command == "exhaustive" else "run_random_sweep"
+    real = getattr(cli, driver)
+    seen = []
+    monkeypatch.setattr(cli, driver, lambda cfg: seen.append(cfg) or real(cfg))
+    assert main(argv) == 0
+    assert seen == [expected]
+
+    echoed = [f.name for f in fields(ExperimentConfig)]
+    for name in ("output_format", "output_path", "workers"):
+        echoed.remove(name)
+    text = (tmp_path / f"r.{fmt}").read_text()
+    if fmt == "json":
+        assert json.loads(text)["config"] == {k: getattr(expected, k) for k in echoed}
+    else:
+        head, config_line = text.splitlines()[:2]
+        assert head == "# chipfire-report v1"
+        assert config_line == "# config " + " ".join(f"{k}={getattr(expected, k)}" for k in echoed)
+    assert list(tmp_path.iterdir()) == [tmp_path / f"r.{fmt}"]
+
+
+def test_toric_rank_flags_reach_toric_rank(c4_file, capsys, monkeypatch):
+    assert _flag_dests("toric-rank") == {"graph", "divisor", *_TORIC_VALUES}
+    argv = ["toric-rank", "--graph", c4_file, "--divisor", "1,1,0,0", *_TORIC_FLAGS.split()]
+    expected = cf.ToricConfig(
+        prime=7, trials=2, mode="random-vector", seed=4, nonzero_entries=True
+    )
+    seen = []
+    monkeypatch.setattr(cli, "toric_rank", lambda G, D, cfg: seen.append(cfg) or cf.toric_rank(G, D, cfg))
+    assert main(argv) == 0
+    assert seen == [expected]
+    res = cf.toric_rank(cf.cycle_graph(4), cf.Divisor((1, 1, 0, 0)), expected)
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"toric_rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)}

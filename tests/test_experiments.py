@@ -51,10 +51,11 @@ def test_config_validation_branches():
 
 def test_config_resolved_prime_and_toric_config():
     cfg = ExperimentConfig(trials=5, seed=9, toric_mode="random-vector")
-    assert cfg.resolved_prime() == cf.DEFAULT_PRIME
+    assert cfg.prime == cf.DEFAULT_PRIME
     tc = cfg.toric_config()
     assert tc.trials == 5 and tc.seed == 9 and tc.mode == "random-vector"
-    assert ExperimentConfig(prime=101).resolved_prime() == 101
+    assert tc.prime == cf.DEFAULT_PRIME
+    assert ExperimentConfig(prime=101).toric_config().prime == 101
 
 
 def test_random_connected_graph():

@@ -58,6 +58,9 @@ def test_degree():
     assert cf.degree(Divisor((1, -2, 3))) == 2
     assert cf.degree([5, 5]) == 10
     assert cf.degree(Divisor.zero(3)) == 0
+    for bad in ((1.5, 0), (True, 2)):
+        with pytest.raises(TypeError):
+            cf.degree(bad)
 
 
 def test_multigraph_validation():
@@ -95,6 +98,9 @@ def test_is_connected_on_raw_matrices():
     assert cf.is_connected([[0, 1], [1, 0]])
     assert not cf.is_connected([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert cf.is_connected([[0]])
+    for bad in ([[0, 1.7], [1.7, 0]], [[0, True], [True, 0]], []):
+        with pytest.raises(InvalidGraphError):
+            cf.is_connected(bad)
 
 
 def test_edges_canonical_order():
