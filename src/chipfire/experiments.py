@@ -17,6 +17,7 @@ import random
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, permutations, product, repeat
 from math import comb
 from multiprocessing import Pool
@@ -37,6 +38,7 @@ from .toric import (
     DEFAULT_PRIME,
     ToricConfig,
     ToricMemo,
+    _check_int_fields,
     derive_seed,
     toric_rank,
 )
@@ -97,6 +99,7 @@ class ExperimentConfig:
     max_multiplicity: int = 3
 
     def validate(self) -> None:
+        _check_int_fields(self, ConfigError)
         if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.output_format not in _FORMATS:
@@ -177,10 +180,12 @@ class ExperimentReport:
     """Outcome of a driver run.
 
     cases holds every record when no output path was given; with a path
-    the records stream to the file and cases stays empty.  violations
-    and anomalies keep at most 100 reproducer records each (full counts
-    are in the summary).  wall_clock_seconds is measured but excluded
-    from report files so reruns stay byte-identical.
+    the records stream to the file and cases stays empty.  The run keeps
+    only the column blocks, each with its first case number, and cases
+    builds the records on first read.  violations and anomalies keep at
+    most 100 reproducer records each (full counts are in the summary).
+    wall_clock_seconds is measured but excluded from report files so
+    reruns stay byte-identical.
     """
 
     config: ExperimentConfig
@@ -191,8 +196,12 @@ class ExperimentReport:
     violations: tuple[CaseRecord, ...]
     anomalies: tuple[CaseRecord, ...]
     summary: dict
-    cases: tuple[CaseRecord, ...] = ()
     wall_clock_seconds: float = 0.0
+    blocks: tuple[tuple[int, _CaseBlock], ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def cases(self) -> tuple[CaseRecord, ...]:
+        return tuple(r for first, b in self.blocks for r in b.records(first, np.arange(len(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +499,12 @@ def _block_cells(
 
 
 class _Sink:
-    """Streaming report writer; the base class discards output."""
+    """Streaming report writer; the base class writes no file and keeps
+    each block with its first case number instead."""
 
     def __init__(self, fh: IO[str] | None = None):
         self.fh = fh
+        self.blocks: list[tuple[int, _CaseBlock]] = []
 
     def start(self, config: ExperimentConfig, graphs: Sequence[Multigraph]) -> None:
         pass
@@ -502,7 +513,7 @@ class _Sink:
         pass
 
     def cases(self, block: _CaseBlock, first: int) -> None:
-        pass
+        self.blocks.append((first, block))
 
     def finish(self, summary: dict) -> None:
         pass
@@ -670,8 +681,6 @@ def _assemble(
     blocks: Iterable[_CaseBlock],
     t0: float,
 ) -> ExperimentReport:
-    keep = config.output_path is None
-    kept: list[CaseRecord] = []
     violations: list[CaseRecord] = []
     anomalous: list[CaseRecord] = []
     case_count = violation_count = anomaly_count = 0
@@ -692,8 +701,6 @@ def _assemble(
             anomaly_count += len(flagged)
             violations += block.records(case_count, failed[: _REPRODUCER_CAP - len(violations)])
             anomalous += block.records(case_count, flagged[: _REPRODUCER_CAP - len(anomalous)])
-            if keep:
-                kept += block.records(case_count, np.arange(len(block)))
             case_count += len(block)
         summary = {
             "graphs": len(graphs),
@@ -712,8 +719,8 @@ def _assemble(
         violations=tuple(violations),
         anomalies=tuple(anomalous),
         summary=summary,
-        cases=tuple(kept),
         wall_clock_seconds=time.perf_counter() - t0,
+        blocks=tuple(sink.blocks),
     )
 
 

@@ -26,7 +26,6 @@ processed in chunks, so no candidate block holds more than
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -72,16 +71,17 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # Laplacian.  Diagonalizing L as U L V = S with unimodular U, V makes the
 # test cheap: y is in im(L) iff (U y)_i is divisible by S_ii (rows with
 # S_ii = 0 must vanish exactly).  The tuple of residues is a complete
-# invariant of the divisor class and serves as a cache key, letting the
-# expensive member enumeration run once per class instead of once per
-# divisor.  Keys keep only the nontrivial invariant factors: rows with
-# S_ii = 1 say nothing and are dropped, and the rows with S_ii > 1 are
-# reduced mod S_ii, so key entries stay below the largest factor even
-# where U itself has entries past 2^40.  (The row with S_ii = 0 is
-# +-(1, ..., 1) on a connected graph.)  Factors themselves pass 2^40 on
-# some 16-vertex graphs, so the int64 bound is checked per batch, on
-# the product that can overflow.  Only the key is derived; no reduced
-# representative divisor is ever produced or exposed.
+# invariant of the divisor class.  The class solver of the experiment
+# drivers groups divisors by it and solves each class once; single
+# queries never diagonalize.  Keys keep only the nontrivial invariant
+# factors: rows with S_ii = 1 say nothing and are dropped, and the rows
+# with S_ii > 1 are reduced mod S_ii, so key entries stay below the
+# largest factor even where U itself has entries past 2^40.  (The row
+# with S_ii = 0 is +-(1, ..., 1) on a connected graph.)  Factors
+# themselves pass 2^40 on some 16-vertex graphs, so the int64 bound is
+# checked per batch, on the product that can overflow.  Only the key is
+# derived; no reduced representative divisor is ever produced or
+# exposed.
 
 
 def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -175,10 +175,6 @@ def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     return np.remainder(keys, moduli, out=keys, where=moduli != 0)
 
 
-def _class_key(G: Multigraph, D: Divisor) -> tuple[int, ...]:
-    return tuple(_class_keys_batch(G, D.as_array()[None, :])[0].tolist())
-
-
 # ---------------------------------------------------------------------------
 # linear systems
 # ---------------------------------------------------------------------------
@@ -205,10 +201,6 @@ class LinearSystem:
     def is_empty(self) -> bool:
         return not self.divisors
 
-
-_MEMBER_LOCK = threading.Lock()
-_MEMBER_CACHE: dict[tuple, tuple[tuple["Divisor", ...], np.ndarray]] = {}
-_MEMBER_CACHE_LIMIT = 1 << 15
 
 # Largest number of entries in one broadcast block, for the member walk
 # here and the domination tests of rank and toric_rank.
@@ -263,7 +255,8 @@ def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
     previous = levels[0][:0]
     frontier = levels[0]
     while len(frontier):
-        found = [_row_keys(frontier[:0])]
+        known = _row_keys(np.vstack([previous, frontier]))
+        found = [known]
         for start in range(1, stop, move_step):
             moves = _subset_moves(L, start, min(start + move_step, stop))
             step = max(1, _ELEMENT_BUDGET // (len(moves) * n))
@@ -272,35 +265,23 @@ def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
                 found.append(_row_keys(cand[(cand >= 0).all(axis=1)]))
         # Firing the complement of S undoes firing S, so the moves make |D|
         # an undirected graph: the neighbours of one breadth-first level lie
-        # in the level before it, in it, or in the next one.
-        keys = np.unique(np.concatenate(found))
-        keys = keys[~np.isin(keys, _row_keys(np.vstack([previous, frontier])))]
-        previous, frontier = frontier, keys.view(np.int64).reshape(-1, n)
+        # in the level before it, in it, or in the next one.  Those two
+        # levels come first in found, so a key first seen past them is new.
+        keys, first = np.unique(np.concatenate(found), return_index=True)
+        previous, frontier = frontier, keys[first >= len(known)].view(np.int64).reshape(-1, n)
         levels.append(frontier)
     members = np.vstack(levels)  # the levels are disjoint
     return members[np.lexsort(members.T[::-1])]
 
 
-def _members_cached(G: Multigraph, D: Divisor) -> tuple[tuple[Divisor, ...], np.ndarray]:
-    """Member divisors of |D| plus the same data as a read-only array.
-
-    Cached per divisor class: equivalent inputs share one enumeration,
-    which is transparent because the member set is a class invariant.
-    """
-    key = (G, _class_key(G, D))
-    with _MEMBER_LOCK:
-        hit = _MEMBER_CACHE.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=256)
+def _members(G: Multigraph, D: Divisor) -> np.ndarray:
+    """The members of |D| as a read-only array, one row each in
+    lexicographic order.  Keyed by the divisor itself: equivalent
+    divisors are separate entries."""
     arr = _compute_members(G, D)
     arr.flags.writeable = False
-    divisors = tuple(Divisor(tuple(int(x) for x in row)) for row in arr)
-    value = (divisors, arr)
-    with _MEMBER_LOCK:
-        if len(_MEMBER_CACHE) >= _MEMBER_CACHE_LIMIT:
-            _MEMBER_CACHE.clear()
-        _MEMBER_CACHE[key] = value
-    return value
+    return arr
 
 
 def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
@@ -308,8 +289,7 @@ def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
     D = _coerce_divisor(D, G.n)
     if degree(D) <= -1:
         return LinearSystem(D, ())
-    divisors, _ = _members_cached(G, D)
-    return LinearSystem(D, divisors)
+    return LinearSystem(D, tuple(Divisor(tuple(row)) for row in _members(G, D).tolist()))
 
 
 def is_effective_equivalent(G: Multigraph, D: DivisorLike) -> bool:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import Divisor, DivisorLike, Multigraph, _coerce_divisor, canonical_divisor, degree, genus
-from .linsys import _ELEMENT_BUDGET, _members_cached
+from .linsys import _ELEMENT_BUDGET, _members
 
 __all__ = [
     "RankResult",
@@ -80,9 +80,8 @@ def non_effective_divisors_of_degree(n: int, d: int, window: int) -> tuple[Divis
     """Degree-d divisors with every entry in [-window, d + window],
     lexicographically ascending.
 
-    Despite the name (kept for continuity with the experiment drivers)
-    the set includes the effective divisors of degree d; it is the finite
-    search window used when sweeping a whole degree class.
+    Despite the name the set includes the effective divisors of degree
+    d; it is the finite window the exhaustive driver sweeps per degree.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -127,7 +126,7 @@ def _rank_scan(
     if degree(D) < 0:
         # negative total degree: no effective divisor is reachable
         return RankResult(-1, Divisor.zero(n))
-    _, members = _members_cached(G, D)
+    members = _members(G, D)
     if len(members) == 0:
         return RankResult(-1, Divisor.zero(n))
     for level in range(degree(D) + 2):

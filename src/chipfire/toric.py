@@ -29,7 +29,7 @@ primality test.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -116,6 +116,16 @@ def _check_prime(prime: int) -> None:
         raise ValueError(f"prime {prime} fails the primality check")
 
 
+def _check_int_fields(obj: object, error: type[ValueError] = ValueError) -> None:
+    """Raise error on a dataclass field annotated int, or int | None when
+    set, that holds anything but an int: bool and float included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            if type(value) is not int:
+                raise error(f"{f.name} must be an integer, got {value!r}")
+
+
 _SEED_SEP = b"\x1f"
 
 
@@ -159,6 +169,7 @@ class ToricConfig:
     nonzero_entries: bool = False
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         _check_prime(self.prime)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -266,17 +277,22 @@ def constraint_matrix_from_pattern(
 
     mask_rows holds 0/1 flags; positions flagged 1 get a deterministic
     generic entry addressed exactly as in build_constraint_matrix.  When
-    block_spans is omitted every column is its own width-1 block.
+    block_spans is omitted every column is its own width-1 block; given,
+    the spans must be nonempty and cover the columns in order.
     """
     _check_prime(prime)
-    ncols = len(mask_rows[0])
-    if any(len(r) != ncols for r in mask_rows):
-        raise ValueError("ragged mask")
+    ncols = len(mask_rows[0]) if len(mask_rows) else 0
+    if ncols == 0 or any(len(r) != ncols or not set(r) <= {0, 1} for r in mask_rows):
+        raise ValueError("mask must be a nonempty rectangle of 0/1 flags")
     if block_spans is None:
-        block_spans = tuple((c, c + 1) for c in range(ncols))
-    return NodeConstraintMatrix(
-        _fill(mask_rows, rng_seed, prime, nonzero_entries), prime, tuple(block_spans)
-    )
+        block_spans = [(c, c + 1) for c in range(ncols)]
+    spans = tuple(map(tuple, block_spans))
+    # block i must start where block i - 1 ends, the first at 0, the last ending at ncols
+    if [0, *(hi for _, hi in spans)] != [*(lo for lo, _ in spans), ncols] or any(
+        lo >= hi for lo, hi in spans
+    ):
+        raise ValueError(f"block spans {spans} do not tile {ncols} columns")
+    return NodeConstraintMatrix(_fill(mask_rows, rng_seed, prime, nonzero_entries), prime, spans)
 
 
 def kernel_basis(M: NodeConstraintMatrix) -> list[tuple[int, ...]]:

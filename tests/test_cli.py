@@ -1,11 +1,12 @@
 import argparse
+import dataclasses
 import json
 from dataclasses import fields
 
 import pytest
 
 import chipfire as cf
-from chipfire import cli
+from chipfire import cli, experiments
 from chipfire.cli import _finish_driver, main
 from chipfire.experiments import CaseRecord, ExperimentConfig, ExperimentReport
 
@@ -346,3 +347,25 @@ def test_toric_rank_flags_reach_toric_rank(c4_file, capsys, monkeypatch):
     res = cf.toric_rank(cf.cycle_graph(4), cf.Divisor((1, 1, 0, 0)), expected)
     out = json.loads(capsys.readouterr().out)
     assert out == {"toric_rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)}
+
+
+def test_sweep_without_out_builds_no_records(tmp_path, capsys, monkeypatch):
+    argv = ["exhaustive", "--max-vertices", "4", "--genus-max", "2", "--max-multiplicity", "2"]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    written = json.loads((tmp_path / "r.json").read_text())["cases"]
+
+    built, reports = [], []
+    monkeypatch.setattr(experiments, "CaseRecord", lambda *a: built.append(a) or CaseRecord(*a))
+    monkeypatch.setattr(cli, "_finish_driver", lambda report: reports.append(report) or 0)
+    assert main(argv) == 0
+    (report,) = reports
+    assert report.violation_count == report.anomaly_count == 0
+    assert built == []  # the run kept column blocks only
+    cases = report.cases
+    assert len(built) == len(cases) == report.case_count == len(written) > 100
+    assert report.cases is cases
+    eager = [
+        {**dataclasses.asdict(rec), "divisor": list(rec.divisor), "anomalies": list(rec.anomalies)}
+        for rec in cases
+    ]
+    assert eager == written

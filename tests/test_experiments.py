@@ -16,6 +16,7 @@ from chipfire import (
     run_exhaustive,
     run_random_sweep,
 )
+from chipfire import experiments, linsys
 
 from .helpers import canonical_adjacency, connected_multigraphs_up_to_iso
 
@@ -39,6 +40,17 @@ def test_config_validation_branches():
         dict(max_multiplicity=0),
         dict(mode="single"),
         dict(mode="random-sweep", min_genus=0),
+        # integer fields reject float and bool instead of coercing them
+        dict(max_vertices=2.5),
+        dict(workers=True),
+        dict(genus_max=2.0),
+        dict(degree_min=0.5),
+        dict(window=False),
+        dict(prime=10000000019.0),
+        dict(trials=2.5),
+        dict(seed=1.5),
+        dict(cases=True),
+        dict(n_max=10.0),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -375,3 +387,16 @@ def test_random_sweep_rejects_unreachable_genus():
                 dataclasses.replace(cfg, min_genus=top).validate()
         dataclasses.replace(cfg, cases=0).validate()
         dataclasses.replace(cfg, mode="exhaustive").validate()
+
+
+def test_toric_sweep_enumerates_each_solved_class_once(monkeypatch):
+    # rank and toric_rank of one class representative share one |D|
+    computed, solved = [], []
+    real_compute, real_rank = linsys._compute_members, experiments.rank
+    monkeypatch.setattr(linsys, "_compute_members", lambda G, D: computed.append(D) or real_compute(G, D))
+    monkeypatch.setattr(experiments, "rank", lambda G, D: solved.append(D) or real_rank(G, D))
+    linsys._members.cache_clear()
+    report = run_exhaustive(_tiny_exhaustive(genus_max=2, max_multiplicity=2))
+    assert report.violation_count == 0 and report.summary["toric"]
+    assert len(solved) > 10
+    assert computed == solved

@@ -136,11 +136,14 @@ def test_class_keys_keep_only_nontrivial_factors():
     D = Divisor((2, 3, 2, 3, 1, 3, 1, 0, 1, 2))  # degree g - 1 = 18
     assert cf.rank(G, D).rank == 2
     assert verify_rr_graph(G, D)
-    for f in [(1, -2, 0, 3, 0, 0, 1, 0, 0, 5), (0,) * 9 + (7,), (4, 4, 4, 4, 4, 4, 4, 4, 4, 4)]:
-        assert linsys._class_key(G, apply_firing(G, D, f)) == linsys._class_key(G, D)
-    assert linsys._class_key(G, Divisor((0,) * 9 + (1,))) != linsys._class_key(
-        G, Divisor((1,) + (0,) * 9)
-    )
+    fired = [
+        apply_firing(G, D, f)
+        for f in [(1, -2, 0, 3, 0, 0, 1, 0, 0, 5), (0,) * 9 + (7,), (4, 4, 4, 4, 4, 4, 4, 4, 4, 4)]
+    ]
+    keys = linsys._class_keys_batch(G, np.array([D.coeffs] + [E.coeffs for E in fired]))
+    assert (keys == keys[0]).all()
+    e_last, e_first = linsys._class_keys_batch(G, np.eye(10, dtype=np.int64)[[9, 0]])
+    assert (e_last != e_first).any()
 
 
 @pytest.mark.parametrize(
@@ -158,10 +161,12 @@ def test_class_keys_past_40_bit_factors(seed, factors):
     assert cf.rank(G, e[0]).rank == 0
     D = Divisor((3, 0, 1, 2) * 4)
     f = (1, -2, 0, 3) + (0,) * 11 + (5,)
-    assert linsys._class_key(G, apply_firing(G, D, f)) == linsys._class_key(G, D)
-    assert linsys._class_key(G, e[0]) != linsys._class_key(G, e[1])
+    key_fired, key_D = linsys._class_keys_batch(G, np.array([apply_firing(G, D, f).coeffs, D.coeffs]))
+    assert (key_fired == key_D).all()
+    key_e0, key_e1 = linsys._class_keys_batch(G, np.array([e[0].coeffs, e[1].coeffs]))
+    assert (key_e0 != key_e1).any()
     with pytest.raises(OverflowError):  # 2^44 * 16 * 10^7 > 2^63
-        linsys._class_key(G, Divisor((10**7,) + (0,) * 15))
+        linsys._class_keys_batch(G, np.array([(10**7,) + (0,) * 15]))
 
 
 def test_is_effective_equivalent():
@@ -250,3 +255,41 @@ def test_linear_system_and_rr_on_random_multigraphs(case):
         memo = cf.ToricMemo(G, cf.ToricConfig())
         assert cf.toric_rank(G, coeffs, memo=memo).rank <= cf.rank(G, coeffs).rank
         assert cf.verify_rr_toric(G, coeffs, memo=memo)
+
+
+def test_member_cache_is_bounded_and_evicts_least_recent():
+    G = cf.cycle_graph(3)
+    divisors = [Divisor(c) for c in itertools.product(range(7), repeat=3)]  # 343 > 256
+    linsys._members.cache_clear()
+    first = [linear_system(G, D).divisors for D in divisors[:5]]
+    for D in divisors:
+        linear_system(G, D)
+    info = linsys._members.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256
+    assert info.misses == len(divisors) and info.hits == 5
+    # the first divisors were evicted: asking again recomputes the same sets
+    assert [linear_system(G, D).divisors for D in divisors[:5]] == first
+    assert linsys._members.cache_info().misses == len(divisors) + 5
+    for D in divisors[::17]:
+        assert {d.coeffs for d in linear_system(G, D)} == brute_members(G, D.coeffs)
+
+
+def test_member_arrays_are_read_only():
+    members = linsys._members(cf.path_graph(3), Divisor((2, 0, 0)))
+    assert len(members) == 6 and not members.flags.writeable
+    with pytest.raises(ValueError):
+        members[0, 0] = 7
+
+
+def test_single_queries_never_diagonalize(monkeypatch):
+    def refuse(M):
+        raise AssertionError("_snf_left called outside the class solver")
+
+    monkeypatch.setattr(linsys, "_snf_left", refuse)
+    linsys._class_data.cache_clear()
+    G = cf.Multigraph.from_adjacency(WIDE_TRANSFORM_GRAPH)
+    D = Divisor((2, 3, 2, 3, 1, 3, 1, 0, 1, 2))
+    assert cf.rank(G, D).rank == 2
+    assert verify_rr_graph(G, D)
+    assert D in linear_system(G, D)
+    assert cf.verify_rr_toric(cf.complete_graph(4), (1, 0, 0, 1))

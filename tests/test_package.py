@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import chipfire
@@ -16,3 +17,21 @@ def test_package_has_no_assert_statements():
     ]
     assert list(PACKAGE.glob("*.py")), PACKAGE
     assert found == []
+
+
+def test_every_lru_cache_is_bounded():
+    import chipfire.cli  # noqa: F401  (every module but __main__ is loaded)
+
+    caches = {
+        f"{name}.{attr}": fn.cache_parameters()["maxsize"]
+        for name, module in list(sys.modules.items())
+        if name.startswith("chipfire.")
+        for attr, fn in vars(module).items()
+        if hasattr(fn, "cache_parameters")
+    }
+    assert {
+        "chipfire.linsys._members",
+        "chipfire.linsys._class_data",
+        "chipfire.rank._compositions_array",
+    } <= caches.keys()
+    assert all(size is not None for size in caches.values()), caches

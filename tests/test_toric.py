@@ -79,6 +79,13 @@ def test_toric_config_validation():
         ToricConfig(trials=0)
     with pytest.raises(ValueError):
         ToricConfig(mode="guess")
+    # integer fields are validated, not coerced or read as 0/1
+    for kwargs in (
+        dict(trials=2.5), dict(seed=1.5), dict(prime=10000000019.0),
+        dict(trials=True), dict(seed=False), dict(prime="7"),
+    ):
+        with pytest.raises(ValueError):
+            ToricConfig(**kwargs)
     cfg = ToricConfig()
     assert cfg.prime == DEFAULT_PRIME
     assert cfg.trials == 3
@@ -186,6 +193,18 @@ def test_pattern_matrix_validation_and_default_spans():
         constraint_matrix_from_pattern([(1, 0), (1,)], rng_seed=0)
     with pytest.raises(ValueError):  # Z/9 is not a field
         constraint_matrix_from_pattern([(1, 1)], rng_seed=0, prime=9)
+    for mask, spans in (
+        ([], None),
+        ([()], None),
+        ([(1, 2)], None),
+        ([(1, 1)], [(0, 5)]),
+        ([(1, 1)], [(0, 1)]),
+        ([(1, 1)], [(0, 1), (0, 2)]),
+        ([(1, 1)], [(0, 0), (0, 2)]),
+    ):
+        with pytest.raises(ValueError):
+            constraint_matrix_from_pattern(mask, rng_seed=0, block_spans=spans)
+    assert constraint_matrix_from_pattern([(1, 1)], 0, block_spans=[[0, 2]]).block_spans == ((0, 2),)
     M = constraint_matrix_from_pattern([(1, 1, 0)], rng_seed=0)
     assert M.block_spans == ((0, 1), (1, 2), (2, 3))
 
