@@ -16,7 +16,7 @@ import os
 import random
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import groupby, permutations, product, repeat
 from math import comb
@@ -255,15 +255,13 @@ def random_effective_divisor(n: int, d: int, rng_seed: int) -> Divisor:
     return Divisor(_unrank_composition(n, d, index))
 
 
-def _degree_class_canonical(adj: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Canonical form: lexicographic minimum of the adjacency matrix over
-    the vertex orders that sort degrees ascending, i.e. over permutations
-    inside each equal-degree group; exact, not a general isomorphism engine."""
+def _is_canonical(adj: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff no relabelling inside adj's equal-degree groups gives a
+    lexicographically smaller matrix; degrees must be non-decreasing."""
     degs = [sum(row) for row in adj]
-    order = sorted(range(len(adj)), key=degs.__getitem__)
-    groups = [permutations(grp) for _, grp in groupby(order, key=degs.__getitem__)]
-    return min(
-        tuple(tuple(adj[a][b] for b in p) for a in p)
+    groups = [permutations(grp) for _, grp in groupby(range(len(adj)), key=degs.__getitem__)]
+    return all(
+        tuple(tuple(adj[a][b] for b in p) for a in p) >= adj
         for p in (sum(perms, ()) for perms in product(*groups))
     )
 
@@ -274,34 +272,37 @@ def enumerate_treeless_graphs(
     max_multiplicity: int = 3,
 ) -> Iterator[Multigraph]:
     """All connected multigraphs equal to their own 2-core, up to
-    isomorphism.
+    isomorphism, generated lazily.
 
     Emits graphs with n <= max_n, every vertex degree >= 2, edge
     multiplicities in [0, max_multiplicity], and genus inside
     genus_range; attaching pendant trees changes neither side of the
     identity under test, so only these cores are worth sweeping.
-    Deterministic order: n ascending, then genus, then canonical form.
+    Deterministic order: n ascending, then genus, then adjacency matrix.
 
     The search is degree-sorted (the pruning behind orderly generation):
     the upper-triangle cells are set in row-major order, so vertex i's
     degree is final once cell (i, n - 1) is set, and a branch dies there
-    unless that degree is >= 2 and >= the degree of vertex i - 1.  Only
-    labelled graphs with non-decreasing degrees reach the leaf, where
-    they are canonicalized.  The canonical form of every class sorts
-    degrees ascending, so it is itself such a graph and no class is lost.
+    unless that degree is >= 2 and >= the degree of vertex i - 1.  A leaf
+    is emitted only if it is canonical, the smallest matrix among the
+    relabellings inside its equal-degree groups; no canonical form is
+    built.  Every class has exactly one such leaf, since its smallest
+    degree-sorted form is one the search reaches, and leaves arrive in
+    lexicographic order because multiplicities ascend cell by cell.
     """
     g_lo, g_hi = genus_range
     for n in range(2, max_n + 1):
         cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for g in range(max(g_lo, 1), g_hi + 1):  # genus 0 means a tree: has leaves
-            forms: set[tuple[tuple[int, ...], ...]] = set()
             adj = [[0] * n for _ in range(n)]
             degs = [0] * n
 
-            def rec(k: int, remaining: int) -> None:
+            def rec(k: int, remaining: int) -> Iterator[Multigraph]:
                 if k == len(cells):
                     if remaining == 0 and degs[n - 1] >= degs[n - 2] and _connected(adj):
-                        forms.add(_degree_class_canonical(tuple(map(tuple, adj))))
+                        leaf = tuple(map(tuple, adj))  # adj is mutated in place
+                        if _is_canonical(leaf):
+                            yield Multigraph(leaf)
                     return
                 if remaining > (len(cells) - k) * max_multiplicity:
                     return
@@ -312,14 +313,12 @@ def enumerate_treeless_graphs(
                     degs[j] += m
                     # vertex i's degree is final once its last cell is set
                     if j < n - 1 or (degs[i] >= 2 and (i == 0 or degs[i] >= degs[i - 1])):
-                        rec(k + 1, remaining - m)
+                        yield from rec(k + 1, remaining - m)
                     degs[i] -= m
                     degs[j] -= m
                 adj[i][j] = adj[j][i] = 0
 
-            rec(0, n + g - 1)
-            for form in sorted(forms):
-                yield Multigraph(form)
+            yield from rec(0, n + g - 1)
 
 
 def encode_adjacency(G: Multigraph) -> str:
@@ -414,42 +413,10 @@ class _CaseBlock:
 # ---------------------------------------------------------------------------
 # report sinks
 
-_CASE_FIELDS = (
-    "case",
-    "graph_id",
-    "n",
-    "genus",
-    "degree",
-    "divisor",
-    "rank",
-    "rank_dual",
-    "residual",
-    "toric_rank",
-    "toric_rank_dual",
-    "toric_residual",
-    "passed",
-    "anomalies",
-)
-
-_ECHO_FIELDS = (
-    "mode",
-    "max_vertices",
-    "genus_min",
-    "genus_max",
-    "degree_min",
-    "degree_max",
-    "window",
-    "prime",
-    "trials",
-    "toric_mode",
-    "seed",
-    "toric",
-    "nonzero_entries",
-    "cases",
-    "min_genus",
-    "n_min",
-    "n_max",
-    "max_multiplicity",
+_CASE_FIELDS = tuple(f.name for f in fields(CaseRecord))
+_ECHO_FIELDS = tuple(
+    f.name for f in fields(ExperimentConfig)
+    if f.name not in ("output_format", "output_path", "workers")
 )
 
 

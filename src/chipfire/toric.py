@@ -471,15 +471,14 @@ def toric_rank(
     Same removal scan as rank (``rank._rank_scan``); the witness is the
     first removal no representative survives.  Candidates m - E (for
     members m >= E) are exactly the members of |D - E|, tested in
-    lexicographic order with verdicts shared through the memo.
+    lexicographic order with verdicts shared through the memo.  Without
+    a config, the memo's config is used, or the default if there is no memo.
     """
-    if config is None:
-        config = ToricConfig()
     if memo is None:
-        memo = ToricMemo(G, config)
+        memo = ToricMemo(G, config or ToricConfig())
     elif memo.graph is not G and memo.graph != G:
         raise ValueError("memo was built for a different graph")
-    elif memo.config != config:
+    elif config is not None and memo.config != config:
         raise ValueError("memo was built for a different config")
     D = _coerce_divisor(D, G.n)
     return _rank_scan(G, D, lambda cand: memo.outcome(Divisor(tuple(cand.tolist()))).passed)
@@ -493,8 +492,6 @@ def verify_rr_toric(
 ) -> bool:
     """Riemann-Roch with toric ranks on both sides:
     toric_rank(D) - toric_rank(K - D) == degree(D) + 1 - genus(G)."""
-    if config is None:
-        config = ToricConfig()
     D = _coerce_divisor(D, G.n)
     K = canonical_divisor(G)
     r = toric_rank(G, D, config, memo).rank

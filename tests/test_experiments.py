@@ -167,6 +167,33 @@ def test_enumerate_treeless_order_is_pinned():
     )
 
 
+def test_enumerate_treeless_order_is_pinned_at_seven_vertices():
+    # digest recorded from the enumerator that collected and sorted the
+    # canonical form of every degree-sorted leaf
+    got = list(enumerate_treeless_graphs(7, (1, 2), 3))
+    assert len(got) == 44
+    text = "".join(encode_adjacency(G) + "\n" for G in got)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1fa03ebf02ac2cfa4314d0ffd9829bf990e22435293efa491143b07a958a292a"
+    )
+
+
+def test_enumerate_treeless_is_lazy(monkeypatch):
+    calls = []
+    real = experiments._is_canonical
+
+    def counting(adj):
+        calls.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(experiments, "_is_canonical", counting)
+    next(enumerate_treeless_graphs(7, (1, 3), 3))
+    first = len(calls)
+    calls.clear()
+    list(enumerate_treeless_graphs(7, (1, 3), 3))
+    assert 0 < first < len(calls)
+
+
 def test_encode_adjacency():
     assert encode_adjacency(cf.path_graph(3)) == "0,1,0;1,0,1;0,1,0"
     assert encode_adjacency(cf.cycle_graph(2)) == "0,2;2,0"

@@ -35,3 +35,15 @@ def test_every_lru_cache_is_bounded():
         "chipfire.rank._compositions_array",
     } <= caches.keys()
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_public_names_are_declared_once_in_their_modules():
+    from chipfire import experiments, graphs, linsys, toric
+
+    rank_module = sys.modules["chipfire.rank"]
+    modules = (graphs, linsys, rank_module, toric, experiments)
+    assert len(chipfire.__all__) == len(set(chipfire.__all__))
+    assert chipfire.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    for name in chipfire.__all__:
+        getattr(chipfire, name)
+    assert chipfire.rank is rank_module.rank

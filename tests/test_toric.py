@@ -397,6 +397,19 @@ def test_toric_memo_validation():
         toric_rank(G, (0, 0, 0), ToricConfig(trials=5), memo)
 
 
+def test_toric_rank_without_config_uses_the_memos():
+    G = cf.cycle_graph(3)
+    cfg = ToricConfig(trials=1)
+    for coeffs in ((1, 0, 0), (0, 0, 0), (2, -1, 1)):
+        got = toric_rank(G, coeffs, None, ToricMemo(G, cfg))
+        assert got == toric_rank(G, coeffs, cfg, ToricMemo(G, cfg))
+        assert verify_rr_toric(G, coeffs, None, ToricMemo(G, cfg))
+    with pytest.raises(ValueError, match="different config"):
+        toric_rank(G, (1, 0, 0), ToricConfig(), ToricMemo(G, cfg))
+    with pytest.raises(ValueError, match="different config"):
+        verify_rr_toric(G, (1, 0, 0), ToricConfig(), ToricMemo(G, cfg))
+
+
 def test_verify_rr_toric_on_small_graphs():
     theta = cf.Multigraph.from_adjacency([[0, 3], [3, 0]])  # genus 2
     cases = [
