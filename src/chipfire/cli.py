@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .experiments import (
     ConfigError,
@@ -42,7 +42,7 @@ from .graphs import (
     genus,
 )
 from .rank import rank
-from .toric import DEFAULT_PRIME, ToricConfig, ToricMemo, toric_rank
+from .toric import DEFAULT_PRIME, ToricMemo, toric_rank
 
 __all__ = ["main", "run"]
 
@@ -122,11 +122,6 @@ def _cmd_toric_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _toric_settings(cfg: ToricConfig) -> dict:
-    """The toric settings printed with a violation reproducer."""
-    return {"seed": cfg.seed, "prime": cfg.prime, "trials": cfg.trials, "mode": cfg.mode}
-
-
 def _reproducer(G: Multigraph, D: Divisor, extra: dict | None = None) -> None:
     obj = {"graph": encode_adjacency(G), "divisor": list(D.coeffs)}
     if extra:
@@ -167,7 +162,7 @@ def _cmd_toric_rr_check(args: argparse.Namespace) -> int:
         }
     )
     if residual != 0:
-        _reproducer(G, D, _toric_settings(cfg))
+        _reproducer(G, D, asdict(cfg))
         return 1
     return 0
 
@@ -176,7 +171,7 @@ def _finish_driver(report: ExperimentReport) -> int:
     _emit(report.summary)
     print(f"wall_clock_seconds={report.wall_clock_seconds:.3f}", file=sys.stderr)
     if report.violation_count:
-        settings = _toric_settings(report.config.toric_config())
+        settings = asdict(report.config.toric_config())
         for rec in report.violations[:20]:
             _reproducer(report.graphs[rec.graph_id], Divisor(rec.divisor), settings)
         return 1

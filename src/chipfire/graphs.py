@@ -56,7 +56,7 @@ def _as_ints(values: Iterable[object]) -> tuple[int, ...]:
     return tuple(map(operator.index, values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """Integer chip assignment on the vertices of a graph.
 
@@ -113,6 +113,15 @@ class Divisor:
 
 
 DivisorLike = Union[Divisor, Sequence[int]]
+
+
+def _divisor_from_ints(coeffs: tuple[int, ...]) -> Divisor:
+    """Divisor over a tuple of Python ints, without the checks of
+    __post_init__: for rows that ndarray.tolist() produced, which hold
+    nothing else."""
+    div = object.__new__(Divisor)
+    object.__setattr__(div, "coeffs", coeffs)
+    return div
 
 
 def _coerce_divisor(d: DivisorLike, n: int | None = None) -> Divisor:

@@ -32,7 +32,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Divisor, DivisorLike, Multigraph, _as_ints, _coerce_divisor, degree, laplacian
+from .graphs import (
+    Divisor,
+    DivisorLike,
+    Multigraph,
+    _as_ints,
+    _coerce_divisor,
+    _divisor_from_ints,
+    degree,
+    laplacian,
+)
 
 __all__ = [
     "FiringVector",
@@ -289,7 +298,7 @@ def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
     D = _coerce_divisor(D, G.n)
     if degree(D) <= -1:
         return LinearSystem(D, ())
-    return LinearSystem(D, tuple(Divisor(tuple(row)) for row in _members(G, D).tolist()))
+    return LinearSystem(D, tuple(_divisor_from_ints(tuple(row)) for row in _members(G, D).tolist()))
 
 
 def is_effective_equivalent(G: Multigraph, D: DivisorLike) -> bool:

@@ -17,7 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Divisor, DivisorLike, Multigraph, _coerce_divisor, canonical_divisor, degree, genus
+from .graphs import (
+    Divisor,
+    DivisorLike,
+    Multigraph,
+    _coerce_divisor,
+    _divisor_from_ints,
+    canonical_divisor,
+    degree,
+    genus,
+)
 from .linsys import _ELEMENT_BUDGET, _members
 
 __all__ = [
@@ -141,7 +150,7 @@ def _rank_scan(
                 )
             first = next(iter(failed), None)
             if first is not None:
-                return RankResult(level - 1, Divisor(tuple(chunk[first].tolist())))
+                return RankResult(level - 1, _divisor_from_ints(tuple(chunk[first].tolist())))
     raise RuntimeError("rank search exceeded its degree bound")
 
 

@@ -19,24 +19,32 @@ silently.
 All randomness is position-addressed from explicit integer seeds, so
 identical inputs give identical outcomes regardless of evaluation order.
 
-Field elements are plain Python ints in [0, p): products near p^2 ~ 1e20
-exceed 64-bit range, so no field arithmetic here goes through numpy.  The
-prime is checked once, where it enters (ToricConfig and the two public
-matrix builders); the per-trial matrices of toric_effective_test run no
-primality test.
+Field elements are plain Python ints: products near p^2 ~ 1e20 exceed
+64-bit range, so no field arithmetic here goes through numpy.  Every
+kernel comes from one row reduction, _eliminate.  Its forward pass
+reduces the pivot row and each elimination factor modulo p but leaves
+the rows it updates unreduced (delayed modular reduction, as in
+Dumas-Giorgi-Pernet's FFLAS-FFPACK), so their entries stay below
+rows * p^2; back-substitution then runs over the free columns only.
+kernel_basis, matrix_rank and the block-projection verdict all read its
+output.  The prime is checked once, where it enters (ToricConfig and the
+two public matrix builders); the per-trial matrices of
+toric_effective_test run no primality test.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Sequence
 
 from .graphs import (
     Divisor,
     DivisorLike,
     Multigraph,
     _coerce_divisor,
+    _divisor_from_ints,
     canonical_divisor,
     degree,
     genus,
@@ -216,22 +224,31 @@ def _fill(
     mask_rows: Sequence[Sequence[int]], rng_seed: int, prime: int, nonzero_entries: bool
 ) -> tuple[tuple[int, ...], ...]:
     """Generic field elements at the positions flagged 1, entry (r, c)
-    addressed by (rng_seed, r, c); zeros elsewhere."""
+    addressed by (rng_seed, r, c); zeros elsewhere.
+
+    Hashes the same bytes as _field_element(rng_seed, r, c): each row
+    joins its prefix "rng_seed:r:" to column suffixes built once, and
+    only the flagged columns are visited.
+    """
+    ncols = len(mask_rows[0]) if len(mask_rows) else 0
+    suffixes = [b"%d" % c for c in range(ncols)]
+    head = str(rng_seed).encode() + b":"
+    modulus, offset = (prime - 1, 1) if nonzero_entries else (prime, 0)
     rows = []
     for r, mask in enumerate(mask_rows):
-        row = [
-            _field_element(rng_seed, r, c, p=prime, nonzero=nonzero_entries) if flag else 0
-            for c, flag in enumerate(mask)
-        ]
+        prefix = head + b"%d:" % r
+        row = [0] * ncols
+        for c in compress(range(ncols), mask):
+            digest = hashlib.blake2b(prefix + suffixes[c], digest_size=16).digest()
+            row[c] = offset + int.from_bytes(digest, "big") % modulus
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _generic_matrix(
-    G: Multigraph, d: Divisor, rng_seed: int, prime: int, nonzero_entries: bool
-) -> NodeConstraintMatrix:
-    """build_constraint_matrix without its checks: d must be effective
-    and prime must be prime."""
+def _pattern(G: Multigraph, d: Divisor) -> tuple[list[list[int]], tuple[tuple[int, int], ...]]:
+    """Mask rows and block spans of d's constraint matrix: row r flags
+    the two endpoint blocks of edge r in canonical order.  d must be
+    effective."""
     spans = _block_spans(d)
     ncols = spans[-1][1]
     mask = []
@@ -240,7 +257,7 @@ def _generic_matrix(
         for lo, hi in (spans[i], spans[j]):
             row[lo:hi] = [1] * (hi - lo)
         mask.append(row)
-    return NodeConstraintMatrix(_fill(mask, rng_seed, prime, nonzero_entries), prime, spans)
+    return mask, spans
 
 
 def build_constraint_matrix(
@@ -262,7 +279,8 @@ def build_constraint_matrix(
     if not d.is_effective():
         raise NonEffectiveDivisorError(f"divisor {d.coeffs} has a negative coefficient")
     _check_prime(prime)
-    return _generic_matrix(G, d, rng_seed, prime, nonzero_entries)
+    mask, spans = _pattern(G, d)
+    return NodeConstraintMatrix(_fill(mask, rng_seed, prime, nonzero_entries), prime, spans)
 
 
 def constraint_matrix_from_pattern(
@@ -295,48 +313,76 @@ def constraint_matrix_from_pattern(
     return NodeConstraintMatrix(_fill(mask_rows, rng_seed, prime, nonzero_entries), prime, spans)
 
 
-def kernel_basis(M: NodeConstraintMatrix) -> list[tuple[int, ...]]:
-    """Canonical basis of the right kernel {v : M v = 0 mod p}.
+def _eliminate(M: NodeConstraintMatrix) -> tuple[list[int], list[int], list[list[int]]]:
+    """Row reduction of M over F_p as (pivots, free, red): the pivot and
+    free columns in ascending order, and red[k], the entries of reduced
+    row k in the free columns, in [0, p).
 
-    Exact Gauss-Jordan elimination over the field; one basis vector per
-    free column, with a 1 in its free position.  Empty list iff M has
-    full column rank.
+    The forward pass touches only the rows below a pivot and the columns
+    right of it.  The pivot row is normalized and reduced, and so is each
+    factor row[c] % p; the rows it updates are not, so entries that
+    start in [0, p) stay below n_rows * p^2 in absolute value.
+    Back-substitution then runs over the free columns alone; a free
+    column left of pivot k holds 0 in reduced row k.
     """
     p = M.modulus
     ncols = M.n_cols
     rows = [list(r) for r in M.entries]
     pivots: list[int] = []
-    r = 0
+    free: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            free.extend(range(c, ncols))
+            break
         pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
         if pr is None:
+            free.append(c)
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        tail = [x * inv % p for x in rows[r][c + 1 :]]
+        rows[r][c + 1 :] = tail
+        for row in rows[r + 1 :]:
+            f = row[c] % p
+            if f:
+                row[c + 1 :] = [x - f * y for x, y in zip(row[c + 1 :], tail)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    pivot_set = set(pivots)
+    red: list[list[int]] = [[]] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        row = rows[k]
+        acc = [row[fc] if fc > pivots[k] else 0 for fc in free]
+        for pc, below in zip(pivots[k + 1 :], red[k + 1 :]):
+            u = row[pc]
+            if u:
+                acc = [a - u * b for a, b in zip(acc, below)]
+        red[k] = [a % p for a in acc]
+    return pivots, free, red
+
+
+def kernel_basis(M: NodeConstraintMatrix) -> list[tuple[int, ...]]:
+    """Canonical basis of the right kernel {v : M v = 0 mod p}.
+
+    One basis vector per free column of the reduced row echelon form,
+    with a 1 in its free position and minus the reduced rows' entries in
+    that column at the pivot positions.  The form comes from _eliminate:
+    a forward pass with delayed modular reduction, then back-substitution
+    over the free columns only.  Empty list iff M has full column rank.
+    """
+    p = M.modulus
+    pivots, free, red = _eliminate(M)
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * ncols
+    for j, fc in enumerate(free):
+        v = [0] * M.n_cols
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc] % p
+        for pc, row in zip(pivots, red):
+            v[pc] = -row[j] % p
         basis.append(tuple(v))
     return basis
 
 
 def matrix_rank(M: NodeConstraintMatrix) -> int:
-    return M.n_cols - len(kernel_basis(M))
+    return M.n_cols - len(_eliminate(M)[1])
 
 
 @dataclass(frozen=True)
@@ -357,27 +403,22 @@ class ToricOutcome:
     trial_disagreement: bool = False
 
 
-def _blocks_supported(
-    basis: Iterable[tuple[int, ...]], spans: Sequence[tuple[int, int]]
-) -> tuple[bool, ...]:
-    support = [False] * len(spans)
-    for vec in basis:
-        for b, (lo, hi) in enumerate(spans):
-            if not support[b] and any(vec[c] for c in range(lo, hi)):
-                support[b] = True
-    return tuple(support)
-
-
-def _single_trial(
-    G: Multigraph, d: Divisor, sample_seed: int, config: ToricConfig
-) -> ToricOutcome:
-    M = _generic_matrix(G, d, sample_seed, config.prime, config.nonzero_entries)
-    basis = kernel_basis(M)
-    kdim = len(basis)
+def _single_trial(M: NodeConstraintMatrix, sample_seed: int, config: ToricConfig) -> ToricOutcome:
     if config.mode == "block-projection":
-        support = _blocks_supported(basis, M.block_spans)
+        pivots, free, red = _eliminate(M)
+        kdim = len(free)
+        # some basis vector is nonzero at column c iff c is free, or c is
+        # pivot k and reduced row k has a nonzero free entry
+        nonzero = [False] * M.n_cols
+        for c in free:
+            nonzero[c] = True
+        for pc, row in zip(pivots, red):
+            nonzero[pc] = any(row)
+        support = tuple(any(nonzero[lo:hi]) for lo, hi in M.block_spans)
         passed = kdim >= 1 and all(support)
     else:
+        basis = kernel_basis(M)
+        kdim = len(basis)
         p = config.prime
         vec = [0] * M.n_cols
         for k, bvec in enumerate(basis):
@@ -411,10 +452,13 @@ def toric_effective_test(
     d = _coerce_divisor(d, G.n)
     if not d.is_effective():
         raise NonEffectiveDivisorError(f"divisor {d.coeffs} has a negative coefficient")
+    mask, spans = _pattern(G, d)
     outcomes = []
     for trial in range(config.trials):
         sample_seed = derive_seed(config.seed, G.adj, d.coeffs, trial)
-        outcomes.append(_single_trial(G, d, sample_seed, config))
+        entries = _fill(mask, sample_seed, config.prime, config.nonzero_entries)
+        M = NodeConstraintMatrix(entries, config.prime, spans)
+        outcomes.append(_single_trial(M, sample_seed, config))
     passes = sum(o.passed for o in outcomes)
     majority = passes * 2 > config.trials
     disagreement = 0 < passes < config.trials
@@ -481,7 +525,9 @@ def toric_rank(
     elif config is not None and memo.config != config:
         raise ValueError("memo was built for a different config")
     D = _coerce_divisor(D, G.n)
-    return _rank_scan(G, D, lambda cand: memo.outcome(Divisor(tuple(cand.tolist()))).passed)
+    return _rank_scan(
+        G, D, lambda cand: memo.outcome(_divisor_from_ints(tuple(cand.tolist()))).passed
+    )
 
 
 def verify_rr_toric(

@@ -11,6 +11,7 @@ import heapq
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 import chipfire as cf
 
@@ -201,3 +202,63 @@ def greedy_winnable(G: cf.Multigraph, coeffs, max_rounds: int = 10_000) -> bool:
         for j in range(G.n):
             state[j] += int(L[j][debtor])
     return False
+
+
+def naive_kernel_basis(M: cf.NodeConstraintMatrix) -> list[tuple[int, ...]]:
+    """Canonical right-kernel basis of M over F_p by textbook Gauss-Jordan
+    elimination: every row reduced modulo p after every update, pivots
+    cleared above and below.  One vector per free column, 1 at the free
+    position."""
+    p = M.modulus
+    ncols = M.n_cols
+    rows = [list(r) for r in M.entries]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc] % p
+        basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def graph_and_divisor(draw):
+    """A connected multigraph with n <= 5 and multiplicity <= 2, and a
+    divisor whose positive chips number at most 8 // (n - 1)."""
+    n = draw(st.integers(1, 5))
+    adj = [[0] * n for _ in range(n)]
+    for j in range(1, n):  # a spanning tree keeps the graph connected
+        i = draw(st.integers(0, j - 1))
+        adj[i][j] = adj[j][i] = draw(st.integers(1, 2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i][j] == 0:
+                adj[i][j] = adj[j][i] = draw(st.integers(0, 2))
+    chips = draw(st.integers(0, 8 // max(1, n - 1)))
+    coeffs = [0] * n
+    for v in draw(st.lists(st.integers(0, n - 1), min_size=chips, max_size=chips)):
+        coeffs[v] += 1
+    for v in range(n):
+        if coeffs[v] == 0:
+            coeffs[v] = -draw(st.integers(0, 1))
+    return cf.Multigraph.from_adjacency(adj), tuple(coeffs)

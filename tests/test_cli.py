@@ -181,7 +181,7 @@ def test_random_sweep_command(capsys):
 
 
 def test_finish_driver_reports_violations(capsys):
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(nonzero_entries=True)
     G = cf.cycle_graph(3)
     fake = CaseRecord(
         case=0, graph_id=0, n=3, genus=1, degree=0, divisor=(0, 0, 0),
@@ -199,6 +199,9 @@ def test_finish_driver_reports_violations(capsys):
     assert repro["graph"] == "0,1,1;1,0,1;1,1,0"
     assert repro["divisor"] == [0, 0, 0]
     assert repro["prime"] == cf.DEFAULT_PRIME
+    assert repro["nonzero_entries"] is True
+    settings = {k: v for k, v in repro.items() if k not in ("graph", "divisor")}
+    assert cf.ToricConfig(**settings) == cfg.toric_config()
 
 
 def test_random_sweep_unreachable_genus_exits_2(capsys):
@@ -347,6 +350,18 @@ def test_toric_rank_flags_reach_toric_rank(c4_file, capsys, monkeypatch):
     res = cf.toric_rank(cf.cycle_graph(4), cf.Divisor((1, 1, 0, 0)), expected)
     out = json.loads(capsys.readouterr().out)
     assert out == {"toric_rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)}
+
+
+def test_toric_violation_reproducer_replays_its_settings(c4_file, capsys, monkeypatch):
+    argv = ["toric-rr-check", "--graph", c4_file, "--divisor", "1,1,0,0", *_TORIC_FLAGS.split()]
+    monkeypatch.setattr(cli, "toric_rank", lambda G, D, cfg, memo: cf.RankResult(9, D))
+    assert main(argv) == 1
+    repro = json.loads(capsys.readouterr().err.split("violation ", 1)[1].splitlines()[0])
+    assert repro["nonzero_entries"] is True
+    settings = {k: v for k, v in repro.items() if k not in ("graph", "divisor")}
+    assert cf.ToricConfig(**settings) == cf.ToricConfig(
+        prime=7, trials=2, mode="random-vector", seed=4, nonzero_entries=True
+    )
 
 
 def test_sweep_without_out_builds_no_records(tmp_path, capsys, monkeypatch):

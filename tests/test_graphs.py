@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,14 @@ def test_divisor_rejects_non_integers():
         Divisor((True, False))
     with pytest.raises(TypeError):
         Divisor((np.bool_(True), 0))
+
+
+def test_divisor_is_slotted_and_survives_copies():
+    d = Divisor((3, -1, 0))
+    assert not hasattr(d, "__dict__")
+    for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert clone == d and hash(clone) == hash(d) and clone.coeffs == (3, -1, 0)
+    assert {d: 1}[pickle.loads(pickle.dumps(d))] == 1
 
 
 def test_degree():

@@ -4,7 +4,6 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import chipfire as cf
 from chipfire import (
@@ -17,7 +16,7 @@ from chipfire import (
 from chipfire import linsys
 
 from . import helpers
-from .helpers import brute_members
+from .helpers import brute_members, graph_and_divisor
 
 
 def test_apply_firing_constant_vector_is_identity():
@@ -212,29 +211,6 @@ def test_walk_under_small_element_budget(monkeypatch, budget):
         got = linsys._compute_members(G, Divisor(c))
         np.testing.assert_array_equal(got, want)
         assert {tuple(r) for r in got.tolist()} == brute_members(G, c)
-
-
-@st.composite
-def graph_and_divisor(draw):
-    """A connected multigraph with n <= 5 and multiplicity <= 2, and a
-    divisor whose positive chips number at most 8 // (n - 1)."""
-    n = draw(st.integers(1, 5))
-    adj = [[0] * n for _ in range(n)]
-    for j in range(1, n):  # a spanning tree keeps the graph connected
-        i = draw(st.integers(0, j - 1))
-        adj[i][j] = adj[j][i] = draw(st.integers(1, 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i][j] == 0:
-                adj[i][j] = adj[j][i] = draw(st.integers(0, 2))
-    chips = draw(st.integers(0, 8 // max(1, n - 1)))
-    coeffs = [0] * n
-    for v in draw(st.lists(st.integers(0, n - 1), min_size=chips, max_size=chips)):
-        coeffs[v] += 1
-    for v in range(n):
-        if coeffs[v] == 0:
-            coeffs[v] = -draw(st.integers(0, 1))
-    return cf.Multigraph.from_adjacency(adj), tuple(coeffs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -3,6 +3,8 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chipfire as cf
 from chipfire import (
@@ -15,6 +17,7 @@ from chipfire import (
     build_constraint_matrix,
     constraint_matrix_from_pattern,
     derive_seed,
+    effective_divisors_of_degree,
     is_prime,
     kernel_basis,
     matrix_rank,
@@ -24,7 +27,12 @@ from chipfire import (
     verify_rr_toric,
 )
 
-from .helpers import brute_toric_rank, connected_multigraphs_up_to_iso
+from .helpers import (
+    brute_toric_rank,
+    connected_multigraphs_up_to_iso,
+    graph_and_divisor,
+    naive_kernel_basis,
+)
 
 # Fixture: a 5x6 generic matrix with this exact support describes the
 # divisor (0, 1, 1, 0) on the 4-vertex graph with edge set
@@ -41,6 +49,18 @@ STAR_GRAPH = cf.Multigraph.from_adjacency(
 )
 STAR_DIVISOR = Divisor((0, 1, 1, 0))
 STAR_SPANS = ((0, 1), (1, 3), (3, 5), (5, 6))
+
+
+@pytest.fixture(scope="module")
+def sweep_divisors():
+    """(graph, effective divisor) for every 2-core graph with n <= 5 and
+    genus 1..3 and every degree g - 1..g + 1: 4,733 pairs."""
+    return [
+        (G, D)
+        for G in cf.enumerate_treeless_graphs(5, (1, 3))
+        for d in range(cf.genus(G) - 1, cf.genus(G) + 2)
+        for D in effective_divisors_of_degree(G.n, d)
+    ]
 
 
 def test_is_prime():
@@ -239,6 +259,46 @@ def test_kernel_basis_canonical_form():
     assert len(basis) == 2
     assert basis[0][1] == 1 and basis[0][2] == 0
     assert basis[1][2] == 1 and basis[1][1] == 0
+
+
+@pytest.mark.parametrize("prime", [5, 7, DEFAULT_PRIME])
+def test_kernel_matches_gauss_jordan_on_sweep_graphs(sweep_divisors, prime):
+    for i, (G, D) in enumerate(sweep_divisors):
+        M = build_constraint_matrix(G, D, i, prime=prime, nonzero_entries=i % 2 == 1)
+        expected = naive_kernel_basis(M)
+        assert kernel_basis(M) == expected, (G.adj, D.coeffs, i)
+        assert matrix_rank(M) == M.n_cols - len(expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    graph_and_divisor(),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([5, 7, DEFAULT_PRIME]),
+    st.booleans(),
+)
+def test_kernel_matches_gauss_jordan_on_random_multigraphs(case, seed, prime, nonzero):
+    G, coeffs = case
+    d = [max(c, 0) for c in coeffs]
+    M = build_constraint_matrix(G, d, seed, prime=prime, nonzero_entries=nonzero)
+    expected = naive_kernel_basis(M)
+    assert kernel_basis(M) == expected
+    assert matrix_rank(M) == M.n_cols - len(expected)
+
+
+def test_toric_outcomes_are_pinned(sweep_divisors):
+    # Recorded from the Gauss-Jordan kernel, before the trials moved to
+    # one forward elimination and a prefix-hashed fill.
+    h = hashlib.sha256()
+    for mode in ("block-projection", "random-vector"):
+        for nonzero in (False, True):
+            cfg = ToricConfig(mode=mode, nonzero_entries=nonzero)
+            for G, D in sweep_divisors:
+                o = toric_effective_test(G, D, cfg)
+                fields = (o.passed, o.kernel_dim, o.per_block_support, o.sample_seed)
+                h.update(repr(fields).encode())
+    assert len(sweep_divisors) == 4733
+    assert h.hexdigest() == "d8ff29813b6da6ad04af4abbbe1ce9143e461d4ddfbcf78b1928c834ee098f23"
 
 
 def test_toric_test_pass_and_fail():
