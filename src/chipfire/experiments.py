@@ -32,8 +32,8 @@ from .graphs import (
     canonical_divisor,
     genus,
 )
-from .linsys import _class_keys_batch, _row_keys
-from .rank import _compositions_array, rank
+from .linsys import _class_keys_batch, _compositions_array, _row_keys
+from .rank import rank
 from .toric import (
     DEFAULT_PRIME,
     ToricConfig,

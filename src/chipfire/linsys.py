@@ -4,30 +4,39 @@ A firing vector f assigns an integer to each vertex; positive values
 borrow (the vertex takes one chip from each neighbor per unit), negative
 values lend.  The group action is ``D + L f`` with L the Laplacian.  The
 complete linear system |D| is the set of effective divisors equivalent
-to D, computed exactly in two steps:
+to D, computed exactly in one of two ways:
 
-1. Reduction.  Baker-Norine's greedy algorithm finds one effective
-   representative or proves there is none: a vertex in debt borrows, and
-   D is unwinnable once every vertex has borrowed (negative degree is
-   rejected up front).
-2. Walk.  Breadth-first search from that representative over the
+1. Filter.  Every member of |D| is a composition of d = deg(D), so when
+   the table of compositions is small, ``C(d + n - 1, n - 1) * n <=
+   _ELEMENT_BUDGET``, |D| is the rows of that table whose class key
+   equals D's.  The table is cached and already lexicographically
+   sorted, and the class data is one cached Smith form per graph, so a
+   call costs one key product over the table: O(C(d + n - 1, n - 1) * n
+   * k) for k nontrivial invariant factors.
+2. Walk.  Above the budget, or when a class key would leave the int64
+   range, Baker-Norine's greedy algorithm first finds one effective
+   representative or proves there is none: a vertex in debt borrows,
+   and D is unwinnable once every vertex has borrowed (negative degree
+   is rejected up front).  Breadth-first search from it over the
    2^n - 2 proper nonempty subset firings, keeping effective results
-   only.  This reaches all of |D| (van Dobben de Bruyn-Gijswijt): if E
+   only, then reaches all of |D| (van Dobben de Bruyn-Gijswijt): if E
    and E' = E - L f are both effective and f is not constant, let S be
-   the set where f is largest.  Each v in S holds E(v) >= (L f)(v) chips,
-   at least one per edge leaving S, so firing S from E stays effective,
-   and it leaves E' = E - L 1_S - L (f - 1_S) with max f - min f smaller
-   by one.
+   the set where f is largest.  Each v in S holds E(v) >= (L f)(v)
+   chips, at least one per edge leaving S, so firing S from E stays
+   effective, and it leaves E' = E - L 1_S - L (f - 1_S) with
+   max f - min f smaller by one.  The walk costs O(|D| * 2^n * n) time.
+   Frontier and subset table are processed in chunks, so no candidate
+   block holds more than ``_ELEMENT_BUDGET`` entries.
 
-The walk costs O(|D| * 2^n * n) time.  Frontier and subset table are
-processed in chunks, so no candidate block holds more than
-``_ELEMENT_BUDGET`` entries.  All arithmetic is on integers.
+Both give the same array, row for row.  All arithmetic is on integers.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -81,8 +90,10 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # test cheap: y is in im(L) iff (U y)_i is divisible by S_ii (rows with
 # S_ii = 0 must vanish exactly).  The tuple of residues is a complete
 # invariant of the divisor class.  The class solver of the experiment
-# drivers groups divisors by it and solves each class once; single
-# queries never diagonalize.  Keys keep only the nontrivial invariant
+# drivers groups divisors by it and solves each class once, and the
+# filter path of the member enumeration reads |D| off the composition
+# table with it; so a graph is diagonalized at most once while its
+# entry stays in the cache.  Keys keep only the nontrivial invariant
 # factors: rows with S_ii = 1 say nothing and are dropped, and the rows
 # with S_ii > 1 are reduced mod S_ii, so key entries stay below the
 # largest factor even where U itself has entries past 2^40.  (The row
@@ -177,8 +188,9 @@ def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     row entry, so int64 holds it while max|U| * n * max|D| < 2^63.
     """
     U, moduli = _class_data(G)
-    divisors = divisors.astype(np.int64)
-    if int(np.abs(U).max(initial=0)) * G.n * int(np.abs(divisors).max(initial=0)) >= 1 << 63:
+    divisors = np.asarray(divisors, dtype=np.int64)
+    largest = max(int(divisors.max(initial=0)), -int(divisors.min(initial=0)))
+    if int(np.abs(U).max(initial=0)) * G.n * largest >= 1 << 63:
         raise OverflowError("class key past the int64 range")
     keys = divisors @ U.T
     return np.remainder(keys, moduli, out=keys, where=moduli != 0)
@@ -212,7 +224,8 @@ class LinearSystem:
 
 
 # Largest number of entries in one broadcast block, for the member walk
-# here and the domination tests of rank and toric_rank.
+# here and the domination tests of rank and toric_rank; also the largest
+# composition table the member filter keys.
 _ELEMENT_BUDGET = 1 << 20
 
 
@@ -252,7 +265,41 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _compositions_array(n: int, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """All integer n-vectors with entries in [lo, hi] summing to d
+    (hi defaults to d), lexicographically ascending, as a read-only
+    array."""
+    if hi is None:
+        hi = d
+    if n == 1:
+        arr = np.array([[d]] if lo <= d <= hi else [], dtype=np.int64).reshape(-1, 1)
+    else:
+        parts = [np.empty((0, n), dtype=np.int64)]
+        for first in range(max(lo, d - (n - 1) * hi), min(hi, d - (n - 1) * lo) + 1):
+            rest_sum = d - first
+            # hi clipped to what one entry of the rest can reach, so that
+            # equal sets share a cache key across levels
+            rest = _compositions_array(n - 1, rest_sum, lo, min(hi, rest_sum - (n - 2) * lo))
+            block = np.empty((len(rest), n), dtype=np.int64)
+            block[:, 0] = first
+            block[:, 1:] = rest
+            parts.append(block)
+        arr = np.vstack(parts)
+    arr.flags.writeable = False
+    return arr
+
+
+def _filter_members(G: Multigraph, D: Divisor) -> np.ndarray:
+    """|D| as the compositions of deg(D) in the class of D, in table
+    order.  Raises OverflowError where class keys leave int64."""
+    comps = _compositions_array(G.n, degree(D))
+    key = _class_keys_batch(G, D.as_array()[None, :])
+    return comps[(_class_keys_batch(G, comps) == key).all(axis=1)]
+
+
+def _walk_members(G: Multigraph, D: Divisor) -> np.ndarray:
+    """|D| by the reduction and the subset-firing walk."""
     L = laplacian(G)
     n = G.n
     rep = _effective_representative(L, D.as_array())
@@ -281,6 +328,16 @@ def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
         levels.append(frontier)
     members = np.vstack(levels)  # the levels are disjoint
     return members[np.lexsort(members.T[::-1])]
+
+
+def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
+    """|D| by the filter while the composition table of deg(D) fits the
+    element budget and its keys fit int64, else by the walk."""
+    d = degree(D)
+    if d >= 0 and comb(d + G.n - 1, G.n - 1) * G.n <= _ELEMENT_BUDGET:
+        with suppress(OverflowError):
+            return _filter_members(G, D)
+    return _walk_members(G, D)
 
 
 @lru_cache(maxsize=256)

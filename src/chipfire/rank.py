@@ -11,7 +11,6 @@ with a different survival test, so both live in ``_rank_scan``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -27,7 +26,7 @@ from .graphs import (
     degree,
     genus,
 )
-from .linsys import _ELEMENT_BUDGET, _members
+from .linsys import _ELEMENT_BUDGET, _compositions_array, _members
 
 __all__ = [
     "RankResult",
@@ -45,31 +44,6 @@ class RankResult:
 
     rank: int
     witness_failure: Divisor
-
-
-@lru_cache(maxsize=256)
-def _compositions_array(n: int, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """All integer n-vectors with entries in [lo, hi] summing to d
-    (hi defaults to d), lexicographically ascending, as a read-only
-    array."""
-    if hi is None:
-        hi = d
-    if n == 1:
-        arr = np.array([[d]] if lo <= d <= hi else [], dtype=np.int64).reshape(-1, 1)
-    else:
-        parts = [np.empty((0, n), dtype=np.int64)]
-        for first in range(max(lo, d - (n - 1) * hi), min(hi, d - (n - 1) * lo) + 1):
-            rest_sum = d - first
-            # hi clipped to what one entry of the rest can reach, so that
-            # equal sets share a cache key across levels
-            rest = _compositions_array(n - 1, rest_sum, lo, min(hi, rest_sum - (n - 2) * lo))
-            block = np.empty((len(rest), n), dtype=np.int64)
-            block[:, 0] = first
-            block[:, 1:] = rest
-            parts.append(block)
-        arr = np.vstack(parts)
-    arr.flags.writeable = False
-    return arr
 
 
 def effective_divisors_of_degree(n: int, d: int) -> tuple[Divisor, ...]:

@@ -137,17 +137,21 @@ def _check_int_fields(obj: object, error: type[ValueError] = ValueError) -> None
 _SEED_SEP = b"\x1f"
 
 
+def _feed(h: hashlib.blake2b, *parts: object) -> hashlib.blake2b:
+    """h after feeding it each part's repr and a separator, in order."""
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(_SEED_SEP)
+    return h
+
+
 def derive_seed(*parts: object) -> int:
     """Collapse a tuple of hashable descriptors into a 64-bit seed.
 
     Uses a keyed position in a blake2b stream rather than Python's hash()
     so the value is stable across processes and interpreter runs.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(_SEED_SEP)
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(_feed(hashlib.blake2b(digest_size=8), *parts).digest(), "big")
 
 
 def _field_element(seed: int, *tags: object, p: int, nonzero: bool = False) -> int:
@@ -453,9 +457,12 @@ def toric_effective_test(
     if not d.is_effective():
         raise NonEffectiveDivisorError(f"divisor {d.coeffs} has a negative coefficient")
     mask, spans = _pattern(G, d)
+    # derive_seed(config.seed, G.adj, d.coeffs, trial), hashing the
+    # shared prefix once per test
+    shared = _feed(hashlib.blake2b(digest_size=8), config.seed, G.adj, d.coeffs)
     outcomes = []
     for trial in range(config.trials):
-        sample_seed = derive_seed(config.seed, G.adj, d.coeffs, trial)
+        sample_seed = int.from_bytes(_feed(shared.copy(), trial).digest(), "big")
         entries = _fill(mask, sample_seed, config.prime, config.nonzero_entries)
         M = NodeConstraintMatrix(entries, config.prime, spans)
         outcomes.append(_single_trial(M, sample_seed, config))

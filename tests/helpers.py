@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import strategies as st
@@ -57,13 +58,15 @@ def connected_multigraphs_up_to_iso(max_n: int, max_mult: int) -> list[cf.Multig
     return out
 
 
-def trees_up_to_iso(n: int) -> list[cf.Multigraph]:
+@lru_cache(maxsize=8)
+def trees_up_to_iso(n: int) -> tuple[cf.Multigraph, ...]:
     """All trees on n vertices up to isomorphism, decoded from Pruefer
-    sequences and deduplicated by canonical form."""
+    sequences and deduplicated by canonical form.  Cached: the catalog
+    for n = 6 takes seconds and several tests read it."""
     if n == 1:
-        return [cf.Multigraph.from_adjacency([[0]])]
+        return (cf.Multigraph.from_adjacency([[0]]),)
     if n == 2:
-        return [cf.path_graph(2)]
+        return (cf.path_graph(2),)
     seen, out = set(), []
     for seq in itertools.product(range(n), repeat=n - 2):
         deg = [1] * n
@@ -84,7 +87,7 @@ def trees_up_to_iso(n: int) -> list[cf.Multigraph]:
         if canon not in seen:
             seen.add(canon)
             out.append(cf.Multigraph(canon))
-    return out
+    return tuple(out)
 
 
 def cycle_with_pendant_path(k: int, plen: int) -> cf.Multigraph:

@@ -208,9 +208,68 @@ def test_walk_under_small_element_budget(monkeypatch, budget):
     expected = [linsys._compute_members(G, Divisor(c)) for G, c in cases]
     monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", budget)
     for (G, c), want in zip(cases, expected):
-        got = linsys._compute_members(G, Divisor(c))
+        got = linsys._walk_members(G, Divisor(c))
         np.testing.assert_array_equal(got, want)
         assert {tuple(r) for r in got.tolist()} == brute_members(G, c)
+
+
+def _assert_same_rows(got, want):
+    # same array, row for row: shape, dtype and order, not just the set
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(graph_and_divisor())
+def test_member_filter_matches_walk_on_random_multigraphs(case):
+    G, coeffs = case
+    D = Divisor(coeffs)
+    _assert_same_rows(linsys._filter_members(G, D), linsys._walk_members(G, D))
+
+
+def test_member_filter_matches_walk_on_tree_windows():
+    # every 97th window divisor that criterion 3 asks about (trees with
+    # n <= 6, degrees 0..3, entries in [-2, d + 2])
+    from .helpers import trees_up_to_iso
+
+    checked = 0
+    for T in (T for n in range(1, 7) for T in trees_up_to_iso(n)):
+        for d in range(4):
+            for row in linsys._compositions_array(T.n, d, -2, d + 2)[::97].tolist():
+                D = Divisor(tuple(row))
+                filtered = linsys._filter_members(T, D)
+                _assert_same_rows(filtered, linsys._walk_members(T, D))
+                assert len(filtered) == comb(d + T.n - 1, T.n - 1)
+                checked += 1
+    assert checked == 1_620
+
+
+def test_member_paths_switch_at_the_element_budget(monkeypatch):
+    G, D = cf.complete_graph(4), Divisor((3, 0, -1, 2))  # C(7, 3) * 4 = 140 entries
+    walked = []
+    real_walk = linsys._walk_members
+    monkeypatch.setattr(linsys, "_walk_members", lambda G, D: walked.append(D) or real_walk(G, D))
+    monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", 140)
+    by_filter = linsys._compute_members(G, D)
+    assert walked == []
+    monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", 139)
+    by_walk = linsys._compute_members(G, D)
+    assert walked == [D]
+    _assert_same_rows(by_filter, by_walk)
+    assert {tuple(r) for r in by_walk.tolist()} == brute_members(G, D.coeffs)
+
+
+def test_member_filter_falls_back_to_walk_on_overflow(monkeypatch):
+    def overflow(G):
+        raise OverflowError("invariant factor of the Laplacian past 2^62")
+
+    G, D = cf.cycle_graph(5), Divisor((2, 0, 1, -1, 1))
+    want = linsys._walk_members(G, D)
+    monkeypatch.setattr(linsys, "_class_data", overflow)
+    _assert_same_rows(linsys._compute_members(G, D), want)
+    with pytest.raises(OverflowError):
+        linsys._filter_members(G, D)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -257,15 +316,23 @@ def test_member_arrays_are_read_only():
         members[0, 0] = 7
 
 
-def test_single_queries_never_diagonalize(monkeypatch):
-    def refuse(M):
-        raise AssertionError("_snf_left called outside the class solver")
-
-    monkeypatch.setattr(linsys, "_snf_left", refuse)
+def test_single_queries_diagonalize_each_graph_at_most_once(monkeypatch):
+    # The member filter keys a small composition table by class, so single
+    # queries diagonalize the Laplacian; the cached class data means at
+    # most once per graph, however many queries follow.
+    calls = []
+    real_snf = linsys._snf_left
+    monkeypatch.setattr(linsys, "_snf_left", lambda M: calls.append(tuple(map(tuple, M))) or real_snf(M))
     linsys._class_data.cache_clear()
+    linsys._members.cache_clear()
     G = cf.Multigraph.from_adjacency(WIDE_TRANSFORM_GRAPH)
     D = Divisor((2, 3, 2, 3, 1, 3, 1, 0, 1, 2))
-    assert cf.rank(G, D).rank == 2
-    assert verify_rr_graph(G, D)
-    assert D in linear_system(G, D)
-    assert cf.verify_rr_toric(cf.complete_graph(4), (1, 0, 0, 1))
+    for _ in range(2):
+        assert cf.rank(G, D).rank == 2
+        assert verify_rr_graph(G, D)
+        assert D in linear_system(G, D)
+        assert cf.rank(G, Divisor((1,) + (0,) * 9)).rank == 0  # degree 1: the filter
+        assert cf.verify_rr_toric(cf.complete_graph(4), (1, 0, 0, 1))
+        assert cf.rank(cf.cycle_graph(5), (2, 0, 0, 0, 0)).rank == 1
+    linsys._class_data.cache_clear()
+    assert len(calls) == len(set(calls)) == 3

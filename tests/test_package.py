@@ -32,7 +32,7 @@ def test_every_lru_cache_is_bounded():
     assert {
         "chipfire.linsys._members",
         "chipfire.linsys._class_data",
-        "chipfire.rank._compositions_array",
+        "chipfire.linsys._compositions_array",
     } <= caches.keys()
     assert all(size is not None for size in caches.values()), caches
 

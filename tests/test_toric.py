@@ -92,6 +92,21 @@ def test_derive_seed_stable_and_sensitive():
     assert 0 <= a < 1 << 64
 
 
+def test_trial_seeds_are_derive_seed_of_each_trial(monkeypatch):
+    # the per-test hasher copied per trial gives derive_seed's values
+    from chipfire import toric
+
+    seen = []
+    real_trial = toric._single_trial
+    monkeypatch.setattr(
+        toric, "_single_trial", lambda M, seed, cfg: seen.append(seed) or real_trial(M, seed, cfg)
+    )
+    G, d = cf.complete_graph(4), (2, 0, 1, 0)
+    out = toric_effective_test(G, d, ToricConfig(seed=17, trials=4))
+    assert seen == [derive_seed(17, G.adj, d, t) for t in range(4)]
+    assert out.sample_seed in seen
+
+
 def test_toric_config_validation():
     with pytest.raises(ValueError):
         ToricConfig(prime=10)
