@@ -1,9 +1,11 @@
 """Chip-firing divisor theory on finite multigraphs.
 
-Core objects: Multigraph and Divisor; complete linear systems via
-Baker-Norine greedy reduction to one effective representative plus a
-breadth-first walk over effective subset firings (O(|D| * 2^n * n) time,
-memory per step bounded by a fixed element budget); Baker-Norine rank with
+Core objects: Multigraph and Divisor; complete linear systems, read off
+the cached table of compositions of deg(D) by class key while that table
+fits a fixed element budget, and otherwise found by Baker-Norine greedy
+reduction to one effective representative plus a breadth-first walk over
+effective subset firings (O(|D| * 2^n * n) time, memory per step bounded
+by the same budget); Baker-Norine rank with
 failing-removal witnesses; toric rank over a generic graph curve decided
 by finite-field node-constraint matrices; and seeded experiment drivers
 with reproducible reports.

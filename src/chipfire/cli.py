@@ -23,8 +23,10 @@ import json
 import sys
 import traceback
 from dataclasses import asdict, fields
+from functools import partial
 
 from .experiments import (
+    _FORMATS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -42,7 +44,7 @@ from .graphs import (
     genus,
 )
 from .rank import rank
-from .toric import DEFAULT_PRIME, ToricMemo, toric_rank
+from .toric import _TORIC_MODES, ToricMemo, toric_rank
 
 __all__ = ["main", "run"]
 
@@ -94,16 +96,18 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_toric_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="field modulus (default: first prime past 1e10)")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument(
-        "--mode",
-        dest="toric_mode",
-        choices=("block-projection", "random-vector"),
-        default="block-projection",
-    )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--prime", type=int, help="field modulus (default: first prime past 1e10)")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--mode", dest="toric_mode", choices=_TORIC_MODES)
+    p.add_argument("--seed", type=int)
     p.add_argument("--nonzero-entries", action="store_true")
+
+
+def _add_sweep_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--toric", action=argparse.BooleanOptionalAction)
+    p.add_argument("--out", dest="output_path", metavar="OUT", help="report file path")
+    p.add_argument("--format", dest="output_format", choices=_FORMATS)
+    _add_toric_args(p)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -187,54 +191,51 @@ def _cmd_random_sweep(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  An omitted flag leaves its dest unset, so
+    the defaults live in ExperimentConfig and ToricConfig alone."""
     parser = argparse.ArgumentParser(
         prog="chipfire",
         description="Chip-firing divisor ranks and toric rank experiments on multigraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("rank", help="Baker-Norine rank of a divisor")
+    p = add("rank", help="Baker-Norine rank of a divisor")
     _add_graph_args(p)
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("toric-rank", help="toric rank over a generic graph curve")
+    p = add("toric-rank", help="toric rank over a generic graph curve")
     _add_graph_args(p)
     _add_toric_args(p)
     p.set_defaults(func=_cmd_toric_rank)
 
-    p = sub.add_parser("rr-check", help="verify the Riemann-Roch identity for one divisor")
+    p = add("rr-check", help="verify the Riemann-Roch identity for one divisor")
     _add_graph_args(p)
     p.set_defaults(func=_cmd_rr_check)
 
-    p = sub.add_parser("toric-rr-check", help="verify toric Riemann-Roch for one divisor")
+    p = add("toric-rr-check", help="verify toric Riemann-Roch for one divisor")
     _add_graph_args(p)
     _add_toric_args(p)
     p.set_defaults(func=_cmd_toric_rr_check)
 
-    p = sub.add_parser("exhaustive", help="sweep all 2-core graphs and divisor windows in range")
-    p.add_argument("--max-vertices", type=int, default=5)
-    p.add_argument("--genus-min", type=int, default=1)
-    p.add_argument("--genus-max", type=int, default=2)
-    p.add_argument("--degree-min", type=int, default=None)
-    p.add_argument("--degree-max", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--max-multiplicity", type=int, default=3)
-    p.add_argument("--toric", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", dest="output_path", metavar="OUT", help="report file path")
-    p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
-    _add_toric_args(p)
+    p = add("exhaustive", help="sweep all 2-core graphs and divisor windows in range")
+    p.add_argument("--max-vertices", type=int)
+    p.add_argument("--genus-min", type=int)
+    p.add_argument("--genus-max", type=int)
+    p.add_argument("--degree-min", type=int)
+    p.add_argument("--degree-max", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--max-multiplicity", type=int)
+    p.add_argument("--workers", type=int)
+    _add_sweep_args(p)
     p.set_defaults(func=_cmd_exhaustive)
 
-    p = sub.add_parser("random-sweep", help="random high-genus spot checks")
-    p.add_argument("--cases", type=int, default=10)
-    p.add_argument("--min-genus", type=int, default=4)
-    p.add_argument("--n-min", type=int, default=5)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--toric", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--out", dest="output_path", metavar="OUT", help="report file path")
-    p.add_argument("--format", dest="output_format", choices=("json", "csv"), default="json")
-    _add_toric_args(p)
+    p = add("random-sweep", help="random high-genus spot checks")
+    p.add_argument("--cases", type=int)
+    p.add_argument("--min-genus", type=int)
+    p.add_argument("--n-min", type=int)
+    p.add_argument("--n-max", type=int)
+    _add_sweep_args(p)
     p.set_defaults(func=_cmd_random_sweep)
 
     return parser

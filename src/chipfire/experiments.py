@@ -35,7 +35,6 @@ from .graphs import (
 from .linsys import _class_keys_batch, _compositions_array, _row_keys
 from .rank import rank
 from .toric import (
-    DEFAULT_PRIME,
     ToricConfig,
     ToricMemo,
     _check_int_fields,
@@ -70,8 +69,8 @@ class ExperimentConfig:
     """Everything that determines a run.
 
     degree_min/degree_max default (None) to the per-graph range
-    [0, genus - 1], and window defaults to the per-graph genus; prime
-    defaults to the package-wide modulus.  workers, output_path and
+    [0, genus - 1], and window defaults to the per-graph genus; the toric
+    fields default to ToricConfig's.  workers, output_path and
     output_format affect only scheduling and destination, never report
     content, and are therefore not echoed into report files.
     """
@@ -83,12 +82,12 @@ class ExperimentConfig:
     degree_min: int | None = None
     degree_max: int | None = None
     window: int | None = None
-    prime: int = DEFAULT_PRIME
-    trials: int = 3
-    toric_mode: str = "block-projection"
-    seed: int = 0
+    prime: int = ToricConfig.prime
+    trials: int = ToricConfig.trials
+    toric_mode: str = ToricConfig.mode
+    seed: int = ToricConfig.seed
     toric: bool = True
-    nonzero_entries: bool = False
+    nonzero_entries: bool = ToricConfig.nonzero_entries
     output_format: str = "json"
     output_path: str | None = None
     workers: int = 1

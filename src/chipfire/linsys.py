@@ -158,9 +158,9 @@ def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
                     add_col(t, j, q)
                     if A[t][j]:
                         dirty = True
-            if not dirty and all(A[i][t] == 0 for i in range(n) if i != t) and all(
-                A[t][j] == 0 for j in range(m) if j != t
-            ):
+            # the row loop leaves row t alone and the column loop column t,
+            # so dirty says whether both are clear
+            if not dirty:
                 break
         # pivot settled; continue with the trailing block
     diag = tuple(A[i][i] if i < m else 0 for i in range(min(n, m)))

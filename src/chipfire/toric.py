@@ -26,10 +26,12 @@ reduces the pivot row and each elimination factor modulo p but leaves
 the rows it updates unreduced (delayed modular reduction, as in
 Dumas-Giorgi-Pernet's FFLAS-FFPACK), so their entries stay below
 rows * p^2; back-substitution then runs over the free columns only.
-kernel_basis, matrix_rank and the block-projection verdict all read its
-output.  The prime is checked once, where it enters (ToricConfig and the
-two public matrix builders); the per-trial matrices of
-toric_effective_test run no primality test.
+kernel_basis, matrix_rank and the verdicts of both toric modes read its
+output, so a trial builds no kernel vectors: block projection reads
+which columns the kernel reaches, and random-vector combines its draws
+with the reduced rows directly.  The prime is checked once, where it
+enters (ToricConfig and the two public matrix builders); the per-trial
+matrices of toric_effective_test run no primality test.
 """
 
 from __future__ import annotations
@@ -163,6 +165,9 @@ def _field_element(seed: int, *tags: object, p: int, nonzero: bool = False) -> i
     return h % p
 
 
+_TORIC_MODES = ("block-projection", "random-vector")
+
+
 @dataclass(frozen=True)
 class ToricConfig:
     """Knobs for the generic-curve model.
@@ -185,7 +190,7 @@ class ToricConfig:
         _check_prime(self.prime)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.mode not in ("block-projection", "random-vector"):
+        if self.mode not in _TORIC_MODES:
             raise ValueError(f"unknown toric mode {self.mode!r}")
 
 
@@ -407,39 +412,31 @@ class ToricOutcome:
     trial_disagreement: bool = False
 
 
-def _single_trial(M: NodeConstraintMatrix, sample_seed: int, config: ToricConfig) -> ToricOutcome:
+def _single_trial(
+    M: NodeConstraintMatrix, sample_seed: int, config: ToricConfig
+) -> tuple[bool, int, tuple[bool, ...]]:
+    """(passed, kernel_dim, per_block_support) of one matrix sample."""
+    pivots, free, red = _eliminate(M)
+    kdim = len(free)
     if config.mode == "block-projection":
-        pivots, free, red = _eliminate(M)
-        kdim = len(free)
         # some basis vector is nonzero at column c iff c is free, or c is
         # pivot k and reduced row k has a nonzero free entry
-        nonzero = [False] * M.n_cols
-        for c in free:
-            nonzero[c] = True
+        nonzero = [True] * M.n_cols
         for pc, row in zip(pivots, red):
             nonzero[pc] = any(row)
         support = tuple(any(nonzero[lo:hi]) for lo, hi in M.block_spans)
-        passed = kdim >= 1 and all(support)
-    else:
-        basis = kernel_basis(M)
-        kdim = len(basis)
-        p = config.prime
-        vec = [0] * M.n_cols
-        for k, bvec in enumerate(basis):
-            coeff = _field_element(sample_seed, "draw", k, p=p)
-            if coeff:
-                vec = [(x + coeff * y) % p for x, y in zip(vec, bvec)]
-        support = tuple(
-            all(vec[c] for c in range(lo, hi)) for lo, hi in M.block_spans
-        )
-        passed = all(support)
-    return ToricOutcome(
-        passed=passed,
-        kernel_dim=kdim,
-        per_block_support=support,
-        mode=config.mode,
-        sample_seed=sample_seed,
-    )
+        return kdim >= 1 and all(support), kdim, support
+    # the kernel vector with weight w_j at free column j holds minus the
+    # weighted reduced row k at pivot k
+    p = config.prime
+    weights = [_field_element(sample_seed, "draw", j, p=p) for j in range(kdim)]
+    vec = [0] * M.n_cols
+    for fc, w in zip(free, weights):
+        vec[fc] = w
+    for pc, row in zip(pivots, red):
+        vec[pc] = -sum(a * b for a, b in zip(weights, row)) % p
+    support = tuple(all(vec[lo:hi]) for lo, hi in M.block_spans)
+    return all(support), kdim, support
 
 
 def toric_effective_test(
@@ -460,23 +457,22 @@ def toric_effective_test(
     # derive_seed(config.seed, G.adj, d.coeffs, trial), hashing the
     # shared prefix once per test
     shared = _feed(hashlib.blake2b(digest_size=8), config.seed, G.adj, d.coeffs)
-    outcomes = []
+    trials = []
     for trial in range(config.trials):
         sample_seed = int.from_bytes(_feed(shared.copy(), trial).digest(), "big")
         entries = _fill(mask, sample_seed, config.prime, config.nonzero_entries)
         M = NodeConstraintMatrix(entries, config.prime, spans)
-        outcomes.append(_single_trial(M, sample_seed, config))
-    passes = sum(o.passed for o in outcomes)
+        trials.append((*_single_trial(M, sample_seed, config), sample_seed))
+    passes = sum(t[0] for t in trials)
     majority = passes * 2 > config.trials
-    disagreement = 0 < passes < config.trials
-    rep = next(o for o in outcomes if o.passed == majority)
+    _, kdim, support, sample_seed = next(t for t in trials if t[0] == majority)
     return ToricOutcome(
         passed=majority,
-        kernel_dim=rep.kernel_dim,
-        per_block_support=rep.per_block_support,
-        mode=rep.mode,
-        sample_seed=rep.sample_seed,
-        trial_disagreement=disagreement,
+        kernel_dim=kdim,
+        per_block_support=support,
+        mode=config.mode,
+        sample_seed=sample_seed,
+        trial_disagreement=0 < passes < config.trials,
     )
 
 

@@ -163,18 +163,61 @@ def brute_rank(G: cf.Multigraph, coeffs, radius: int = 10) -> int:
         level += 1
 
 
-def brute_toric_rank(
-    G: cf.Multigraph, coeffs, config: cf.ToricConfig, radius: int = 10
-) -> tuple[int, tuple[int, ...]]:
+def flow_outcome(G: cf.Multigraph, coeffs) -> tuple[bool, int, tuple[bool, ...]]:
+    """Exact generic-curve toric verdict (passed, kernel_dim,
+    per_block_support) of an effective divisor, by combinatorics alone.
+
+    The constraint matrix has independent generic entries, so its rank
+    is its term rank (Edmonds 1967).  Every column of vertex v's block
+    shares one zero pattern, so a maximum matching is an assignment of
+    each edge row to one endpoint, vertex v taking at most d_v + 1 rows;
+    it is grown one row at a time by augmenting paths.  With F rows
+    assigned, kernel_dim = deg(d) + n - F.  Block v is supported iff some
+    maximum assignment leaves v spare capacity: v has some, or can pass a
+    row it holds along an alternating path to a vertex that has.
+    """
+    edges = G.edges()
+    spare = [c + 1 for c in coeffs]
+    holder: list[int | None] = [None] * len(edges)
+
+    def path_to_spare(starts) -> tuple[int | None, dict]:
+        # breadth-first over vertices; w -> u when w holds a row of edge wu
+        parent = {s: None for s in starts}
+        queue = list(starts)
+        for w in queue:
+            if spare[w]:
+                return w, parent
+            for r, (a, b) in enumerate(edges):
+                if holder[r] == w and a + b - w not in parent:
+                    parent[a + b - w] = (w, r)
+                    queue.append(a + b - w)
+        return None, parent
+
+    for r, ends in enumerate(edges):
+        w, parent = path_to_spare(ends)
+        if w is None:
+            continue
+        spare[w] -= 1
+        while parent[w] is not None:  # each row on the path moves one step on
+            prev, moved = parent[w]
+            holder[moved] = w
+            w = prev
+        holder[r] = w
+    kernel_dim = sum(spare)
+    support = tuple(path_to_spare((v,))[0] is not None for v in range(G.n))
+    return kernel_dim >= 1 and all(support), kernel_dim, support
+
+
+def brute_toric_rank(G: cf.Multigraph, coeffs, radius: int = 10) -> tuple[int, tuple[int, ...]]:
     """Toric rank and witness from the definition: scan levels upward,
     list the removals E of each level lexicographically, and let E
-    survive iff some member of brute_members(G, D - E) passes
-    toric_effective_test.  Verdicts are cached per candidate only."""
+    survive iff some member of brute_members(G, D - E) passes the exact
+    flow_outcome test.  Verdicts are cached per candidate only."""
     verdicts: dict[tuple[int, ...], bool] = {}
 
     def passes(m: tuple[int, ...]) -> bool:
         if m not in verdicts:
-            verdicts[m] = cf.toric_effective_test(G, m, config).passed
+            verdicts[m] = flow_outcome(G, m)[0]
         return verdicts[m]
 
     level = 0

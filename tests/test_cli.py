@@ -352,6 +352,33 @@ def test_toric_rank_flags_reach_toric_rank(c4_file, capsys, monkeypatch):
     assert out == {"toric_rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)}
 
 
+@pytest.mark.parametrize("command", ["exhaustive", "random-sweep"])
+def test_omitted_sweep_flags_take_the_config_defaults(monkeypatch, command):
+    driver = "run_exhaustive" if command == "exhaustive" else "run_random_sweep"
+    seen = []
+    monkeypatch.setattr(cli, driver, seen.append)
+    monkeypatch.setattr(cli, "_finish_driver", lambda report: 0)
+    assert main([command]) == 0
+    assert seen == [ExperimentConfig(mode=command)]
+
+
+def test_omitted_toric_flags_take_the_config_defaults(c4_file, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "toric_rank", lambda G, D, cfg: seen.append(cfg) or cf.toric_rank(G, D, cfg))
+    assert main(["toric-rank", "--graph", c4_file, "--divisor", "1,0,0,0"]) == 0
+    assert seen == [cf.ToricConfig()]
+
+
+def test_every_optional_flag_defaults_to_suppress():
+    # an omitted flag leaves its dest unset, so only the configs declare defaults
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *sub.choices.values()):
+        for action in p._actions:
+            if action.option_strings and not action.required:
+                assert action.default is argparse.SUPPRESS, (p.prog, action.option_strings)
+
+
 def test_toric_violation_reproducer_replays_its_settings(c4_file, capsys, monkeypatch):
     argv = ["toric-rr-check", "--graph", c4_file, "--divisor", "1,1,0,0", *_TORIC_FLAGS.split()]
     monkeypatch.setattr(cli, "toric_rank", lambda G, D, cfg, memo: cf.RankResult(9, D))

@@ -30,6 +30,7 @@ from chipfire import (
 from .helpers import (
     brute_toric_rank,
     connected_multigraphs_up_to_iso,
+    flow_outcome,
     graph_and_divisor,
     naive_kernel_basis,
 )
@@ -312,8 +313,19 @@ def test_toric_outcomes_are_pinned(sweep_divisors):
                 o = toric_effective_test(G, D, cfg)
                 fields = (o.passed, o.kernel_dim, o.per_block_support, o.sample_seed)
                 h.update(repr(fields).encode())
+                assert fields[:3] == flow_outcome(G, D.coeffs), (mode, nonzero, G.adj, D)
     assert len(sweep_divisors) == 4733
     assert h.hexdigest() == "d8ff29813b6da6ad04af4abbbe1ce9143e461d4ddfbcf78b1928c834ee098f23"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(graph_and_divisor(), st.sampled_from(["block-projection", "random-vector"]), st.booleans())
+def test_toric_test_matches_flow_oracle_on_linear_systems(case, mode, nonzero):
+    G, coeffs = case
+    cfg = ToricConfig(mode=mode, nonzero_entries=nonzero)
+    for m in cf.linear_system(G, coeffs):
+        o = toric_effective_test(G, m, cfg)
+        assert (o.passed, o.kernel_dim, o.per_block_support) == flow_outcome(G, m.coeffs), m
 
 
 def test_toric_test_pass_and_fail():
@@ -432,7 +444,7 @@ def test_toric_rank_matches_definition_oracle():
                 if sum(coeffs) != d:
                     continue
                 got = toric_rank(G, coeffs, cfg)
-                expected = brute_toric_rank(G, coeffs, cfg)
+                expected = brute_toric_rank(G, coeffs)
                 assert (got.rank, got.witness_failure.coeffs) == expected, (G.adj, coeffs)
 
 
