@@ -168,13 +168,14 @@ def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
 
 
 @lru_cache(maxsize=256)
-def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray] | None:
     """The key rows of U (reduced mod their invariant factor) and those
-    factors, for the invariant factors other than 1; both read-only."""
+    factors, for the invariant factors other than 1; both read-only.
+    None when a factor passes 2^62, so the cache keeps that too."""
     U, diag = _snf_left(laplacian(G).tolist())
     kept = [(tuple(x % s for x in row) if s else row, s) for row, s in zip(U, diag) if s != 1]
     if any(s >= 1 << 62 for _, s in kept):
-        raise OverflowError("invariant factor of the Laplacian past 2^62")
+        return None
     rows = np.array([row for row, _ in kept], dtype=np.int64).reshape(len(kept), G.n)
     moduli = np.array([s for _, s in kept], dtype=np.int64)
     rows.flags.writeable = moduli.flags.writeable = False
@@ -187,7 +188,10 @@ def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     Each key entry is a sum of n products of a divisor entry and a key
     row entry, so int64 holds it while max|U| * n * max|D| < 2^63.
     """
-    U, moduli = _class_data(G)
+    data = _class_data(G)
+    if data is None:
+        raise OverflowError("invariant factor of the Laplacian past 2^62")
+    U, moduli = data
     divisors = np.asarray(divisors, dtype=np.int64)
     largest = max(int(divisors.max(initial=0)), -int(divisors.min(initial=0)))
     if int(np.abs(U).max(initial=0)) * G.n * largest >= 1 << 63:

@@ -94,16 +94,17 @@ def _dominance_blocks(removals: np.ndarray, members: np.ndarray):
 
 
 def _rank_scan(
-    G: Multigraph, D: Divisor, passes: Callable[[np.ndarray], bool] | None = None
+    G: Multigraph, D: Divisor, survives: Callable[[np.ndarray], bool] | None = None
 ) -> RankResult:
     """The removal scan shared by rank and toric_rank.
 
-    A removal E survives iff some member m of |D| dominates it and, when
-    passes is given, passes(m - E) holds; the members m - E are exactly
-    |D - E|.  passes is called lazily: members in order until one passes,
-    and the scan stops at the first removal that does not survive.
-    Terminates because no member dominates a removal of degree(D) + 1
-    chips.
+    Without survives, a removal E survives iff some member of |D|
+    dominates it.  With it, E survives iff survives(block) holds, where
+    block is the array of m - E over the members m >= E in lexicographic
+    order, exactly |D - E| and possibly empty; the caller decides which
+    rows to test and in what order.  The scan stops at the first removal
+    that does not survive, and terminates because no member dominates a
+    removal of degree(D) + 1 chips.
     """
     n = G.n
     if degree(D) < 0:
@@ -114,14 +115,10 @@ def _rank_scan(
         return RankResult(-1, Divisor.zero(n))
     for level in range(degree(D) + 2):
         for chunk, dom in _dominance_blocks(_compositions_array(n, level), members):
-            if passes is None:
+            if survives is None:
                 failed = (~dom.any(axis=1)).nonzero()[0]
             else:
-                failed = (
-                    i
-                    for i, row in enumerate(chunk)
-                    if not any(passes(members[j] - row) for j in dom[i].nonzero()[0])
-                )
+                failed = (i for i, row in enumerate(chunk) if not survives(members[dom[i]] - row))
             first = next(iter(failed), None)
             if first is not None:
                 return RankResult(level - 1, _divisor_from_ints(tuple(chunk[first].tolist())))

@@ -38,8 +38,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import compress
 from typing import Sequence
+
+import numpy as np
 
 from .graphs import (
     Divisor,
@@ -51,6 +54,7 @@ from .graphs import (
     degree,
     genus,
 )
+from .linsys import _ELEMENT_BUDGET
 from .rank import RankResult, _rank_scan
 
 __all__ = [
@@ -505,6 +509,44 @@ class ToricMemo:
     def trial_disagreements(self) -> list[tuple[int, ...]]:
         return [k for k, o in self.outcomes.items() if o.trial_disagreement]
 
+    @cached_property
+    def _subsets(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(indicators, inside) over the nonempty vertex sets S: column s
+        of the (n, 2^n - 1) indicators is 1 on the s-th set, and inside[s]
+        counts the edges with both ends in it.  None when the table alone
+        passes _ELEMENT_BUDGET (n >= 17)."""
+        n = self.graph.n
+        if ((1 << n) - 1) * n > _ELEMENT_BUDGET:
+            return None
+        indicators = (np.arange(1, 1 << n) >> np.arange(n)[:, None]) & 1
+        adj = np.array(self.graph.adj, dtype=np.int64)
+        inside = ((adj @ indicators) * indicators).sum(axis=0) // 2
+        return indicators, inside
+
+    def _predicted_passes(self, cands: np.ndarray) -> np.ndarray:
+        """Per row d of cands, whether e(S) < sum over u in S of (d_u + 1)
+        for every nonempty vertex set S, with e(S) the edges inside S.
+
+        By Hall's theorem this says that for every vertex v the edges can
+        be oriented so that each u takes at most d_u + 1 of them and v at
+        most d_v (An-Baker-Kuperberg-Shokrieh, Backman), which is exactly
+        when the generic constraint matrix has a kernel reaching every
+        block.  Only the probe order of toric_rank reads it; verdicts come
+        from toric_effective_test.  All False when there is no subset
+        table, which leaves the order lexicographic.  Works in chunks of
+        candidates, so no product holds more than _ELEMENT_BUDGET entries.
+        """
+        if self._subsets is None:
+            return np.zeros(len(cands), dtype=bool)
+        indicators, inside = self._subsets
+        step = max(1, _ELEMENT_BUDGET // len(inside))
+        return np.concatenate(
+            [
+                ((cands[s : s + step] + 1) @ indicators > inside).all(axis=1)
+                for s in range(0, len(cands), step)
+            ]
+        )
+
 
 def toric_rank(
     G: Multigraph,
@@ -516,10 +558,14 @@ def toric_rank(
     of |D - E| passes the effectivity test.
 
     Same removal scan as rank (``rank._rank_scan``); the witness is the
-    first removal no representative survives.  Candidates m - E (for
-    members m >= E) are exactly the members of |D - E|, tested in
-    lexicographic order with verdicts shared through the memo.  Without
-    a config, the memo's config is used, or the default if there is no memo.
+    first removal no representative survives.  Each removal's block of
+    candidates, |D - E| in lexicographic order, is probed until one
+    passes: first the members that the orientation condition predicts
+    to pass (ToricMemo._predicted_passes), then the rest, each group in
+    lexicographic order.  Every probe is a toric_effective_test verdict
+    shared through the memo, so the order changes only how many tests
+    run, never whether E survives.  Without a config, the memo's config
+    is used, or the default if there is no memo.
     """
     if memo is None:
         memo = ToricMemo(G, config or ToricConfig())
@@ -528,9 +574,14 @@ def toric_rank(
     elif config is not None and memo.config != config:
         raise ValueError("memo was built for a different config")
     D = _coerce_divisor(D, G.n)
-    return _rank_scan(
-        G, D, lambda cand: memo.outcome(_divisor_from_ints(tuple(cand.tolist()))).passed
-    )
+
+    def survives(block: np.ndarray) -> bool:
+        if len(block) > 1:
+            likely = memo._predicted_passes(block)
+            block = np.concatenate([block[likely], block[~likely]])
+        return any(memo.outcome(_divisor_from_ints(tuple(c))).passed for c in block.tolist())
+
+    return _rank_scan(G, D, survives)
 
 
 def verify_rr_toric(

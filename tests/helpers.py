@@ -208,6 +208,30 @@ def flow_outcome(G: cf.Multigraph, coeffs) -> tuple[bool, int, tuple[bool, ...]]
     return kernel_dim >= 1 and all(support), kernel_dim, support
 
 
+def subset_outcome(G: cf.Multigraph, coeffs) -> tuple[bool, int, tuple[bool, ...]]:
+    """The exact toric verdict (passed, kernel_dim, per_block_support) in
+    closed form over vertex subsets, by the max-flow min-cut dual of
+    flow_outcome.
+
+    With w = d + 1 and e(S) the edges inside S, the largest assignment
+    leaves delta = max over S (the empty set included) of e(S) - w(S)
+    rows unassigned, so kernel_dim = w(V) - |E| + delta.  Block v is
+    supported iff every set S of largest excess misses v, that is
+    max over S containing v of e(S) - w(S) < delta.
+    """
+    n = G.n
+    edges = G.edges()
+    excess = {}
+    for size in range(n + 1):
+        for S in itertools.combinations(range(n), size):
+            inside = sum(a in S and b in S for a, b in edges)
+            excess[S] = inside - sum(coeffs[u] + 1 for u in S)
+    delta = max(excess.values())
+    kernel_dim = sum(coeffs) + n - len(edges) + delta
+    support = tuple(max(x for S, x in excess.items() if v in S) < delta for v in range(n))
+    return kernel_dim >= 1 and all(support), kernel_dim, support
+
+
 def brute_toric_rank(G: cf.Multigraph, coeffs, radius: int = 10) -> tuple[int, tuple[int, ...]]:
     """Toric rank and witness from the definition: scan levels upward,
     list the removals E of each level lexicographically, and let E

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from .helpers import (
     flow_outcome,
     graph_and_divisor,
     naive_kernel_basis,
+    subset_outcome,
 )
 
 # Fixture: a 5x6 generic matrix with this exact support describes the
@@ -318,14 +320,38 @@ def test_toric_outcomes_are_pinned(sweep_divisors):
     assert h.hexdigest() == "d8ff29813b6da6ad04af4abbbe1ce9143e461d4ddfbcf78b1928c834ee098f23"
 
 
+def test_subset_oracle_matches_trials_flow_and_predictor_on_pinned_divisors(sweep_divisors):
+    exact = [(subset_outcome(G, D.coeffs), flow_outcome(G, D.coeffs)) for G, D in sweep_divisors]
+    assert all(by_subsets == by_flow for by_subsets, by_flow in exact)
+    # delta > 0: some vertex set holds more edges than its blocks have columns
+    assert any(
+        kdim > sum(D.coeffs) + G.n - len(G.edges())
+        for ((_, kdim, _), _), (G, D) in zip(exact, sweep_divisors)
+    )
+    memos = {}
+    for ((passed, _, _), _), (G, D) in zip(exact, sweep_divisors):
+        memo = memos.setdefault(G, ToricMemo(G, ToricConfig()))
+        assert memo._predicted_passes(np.array([D.coeffs])).tolist() == [passed], (G.adj, D)
+    for mode in ("block-projection", "random-vector"):
+        for nonzero in (False, True):
+            cfg = ToricConfig(mode=mode, nonzero_entries=nonzero)
+            for (by_subsets, _), (G, D) in zip(exact, sweep_divisors):
+                o = toric_effective_test(G, D, cfg)
+                assert (o.passed, o.kernel_dim, o.per_block_support) == by_subsets, (G.adj, D)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(graph_and_divisor(), st.sampled_from(["block-projection", "random-vector"]), st.booleans())
 def test_toric_test_matches_flow_oracle_on_linear_systems(case, mode, nonzero):
     G, coeffs = case
     cfg = ToricConfig(mode=mode, nonzero_entries=nonzero)
+    memo = ToricMemo(G, cfg)
     for m in cf.linear_system(G, coeffs):
         o = toric_effective_test(G, m, cfg)
-        assert (o.passed, o.kernel_dim, o.per_block_support) == flow_outcome(G, m.coeffs), m
+        exact = flow_outcome(G, m.coeffs)
+        assert (o.passed, o.kernel_dim, o.per_block_support) == exact, m
+        assert subset_outcome(G, m.coeffs) == exact, m
+        assert memo._predicted_passes(np.array([m.coeffs])).tolist() == [exact[0]], m
 
 
 def test_toric_test_pass_and_fail():
@@ -449,9 +475,11 @@ def test_toric_rank_matches_definition_oracle():
 
 
 def test_toric_candidate_sequence_is_pinned(monkeypatch):
-    # The candidates reaching toric_effective_test, in order, recorded
-    # from the toric rank scan before it was shared with rank: the scan
-    # tries members in order and stops at the first failing removal.
+    # The candidates reaching toric_effective_test, in order: the scan
+    # probes each removal's block of |D - E| with the members that the
+    # orientation condition predicts to pass first, and stops at the
+    # first failing removal.  In plain lexicographic order the same scans
+    # made 182 tests.
     real = cf.toric.toric_effective_test
     calls = []
 
@@ -468,9 +496,59 @@ def test_toric_candidate_sequence_is_pinned(monkeypatch):
             D = Divisor(coeffs)
             toric_rank(G, D, cfg, memo)
             toric_rank(G, K - D, cfg, memo)
-    assert len(calls) == 182
+    assert len(calls) == 172
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
-    assert digest == "1b80801cbed8ea30424b5c3a2d0921f6bfc571d4c5d16c2f863c16a20ae8c51e"
+    assert digest == "c78b21dba16ed590fb108eda44fd09668de47737886c0513d83d2842f304c3b6"
+
+
+PINNED_SCAN_GRAPHS = (cf.cycle_graph(3), cf.cycle_graph(4), cf.cycle_graph(5), cf.complete_graph(4))
+
+
+def _scan_pinned_graphs(graphs=PINNED_SCAN_GRAPHS):
+    """(rank, witness) of each toric_rank of the pinned candidate
+    sequence, and per graph the candidates its memo was asked about."""
+    cfg = ToricConfig()
+    results, probed = [], []
+    for G in graphs:
+        memo = ToricMemo(G, cfg)
+        K = cf.canonical_divisor(G)
+        for coeffs in itertools.product(range(-1, 3), repeat=G.n):
+            for D in (Divisor(coeffs), K - Divisor(coeffs)):
+                got = toric_rank(G, D, cfg, memo)
+                results.append((got.rank, got.witness_failure.coeffs))
+        probed.append(set(memo.outcomes))
+    return results, probed
+
+
+def test_predicted_order_changes_only_the_probe_count(monkeypatch):
+    ordered, ordered_probes = _scan_pinned_graphs()
+    monkeypatch.setattr(
+        ToricMemo, "_predicted_passes", lambda self, cands: np.zeros(len(cands), dtype=bool)
+    )
+    lexicographic, lexicographic_probes = _scan_pinned_graphs()
+    assert ordered == lexicographic
+    # An exact prediction probes only the first passing member of a block,
+    # which lexicographic order probes too, so it never asks about more.
+    assert all(a <= b for a, b in zip(ordered_probes, lexicographic_probes))
+    assert sum(map(len, ordered_probes)) == 172
+    assert sum(map(len, lexicographic_probes)) == 182
+
+
+def test_predictions_are_chunked_within_the_element_budget(monkeypatch):
+    G = cf.complete_graph(4)
+    cands = cf.linsys._compositions_array(4, 5)  # 56 candidates, 15 nonempty subsets
+    whole = ToricMemo(G, ToricConfig())._predicted_passes(cands)
+    assert 0 < whole.sum() < len(whole)
+    graphs = (cf.cycle_graph(4), G)
+    expected, _ = _scan_pinned_graphs(graphs)
+    for budget in (15 * 4, 15 * 4 - 1):  # 4 candidates a chunk, then no subset table
+        monkeypatch.setattr(cf.toric, "_ELEMENT_BUDGET", budget)
+        memo = ToricMemo(G, ToricConfig())
+        chunked = budget == 15 * 4
+        assert (memo._subsets is not None) == chunked
+        want = whole.tolist() if chunked else [False] * len(cands)
+        assert memo._predicted_passes(cands).tolist() == want
+        assert _scan_pinned_graphs(graphs)[0] == expected
 
 
 def test_toric_memo_validation():
