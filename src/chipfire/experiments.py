@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import groupby, permutations, product, repeat
 from math import comb
 from multiprocessing import Pool
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,10 +29,18 @@ from .graphs import (
     Divisor,
     Multigraph,
     _connected,
+    _divisor_from_ints,
     canonical_divisor,
     genus,
 )
-from .linsys import _class_keys_batch, _compositions_array, _row_keys
+from .linsys import (
+    _ELEMENT_BUDGET,
+    _class_data,
+    _class_keys_batch,
+    _compositions_array,
+    _members,
+    _row_keys,
+)
 from .rank import rank
 from .toric import (
     ToricConfig,
@@ -578,34 +586,182 @@ def _report_file(path: str | None) -> Iterator[IO[str] | None]:
 # exhaustive driver
 
 
+def _scan_classes(
+    G: Multigraph, memo: ToricMemo | None, reps: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Rank, toric rank and trial-disagreement bit of the class of each
+    row of reps, one removal scan each (``rank`` and ``toric_rank``)."""
+    per_class = np.zeros((len(reps), 3), dtype=np.int64)
+    for j, rep in enumerate(reps.tolist()):
+        D = Divisor(tuple(rep))
+        per_class[j, 0] = rank(G, D).rank
+        if memo is not None:
+            before = memo.disagreement_reads
+            per_class[j, 1] = toric_rank(G, D, memo.config, memo).rank
+            per_class[j, 2] = memo.disagreement_reads > before
+    return per_class
+
+
+def _degree_classes(G: Multigraph, k: int) -> dict[bytes, np.ndarray] | None:
+    """|c| of every effective class c of degree k >= 0, keyed by the bytes
+    of its class key, from one keying of the composition table; each
+    |c| in lexicographic order.  None when the table passes the element
+    budget."""
+    if comb(k + G.n - 1, G.n - 1) * G.n > _ELEMENT_BUDGET:
+        return None
+    comps = _compositions_array(G.n, k)
+    keys, inverse = np.unique(
+        _row_keys(_class_keys_batch(G, comps)), return_inverse=True
+    )
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=len(keys)))[:-1]
+    return dict(zip(keys.tolist(), np.split(comps[order], bounds)))
+
+
+def _any_passes(memo: ToricMemo, block: np.ndarray) -> bool:
+    """Whether some row of block passes the toric effectivity test,
+    probed in toric_rank's order: predicted passes first, then the rest,
+    each group in lexicographic order."""
+    if len(block) > 1:
+        likely = memo._predicted_passes(block)
+        block = np.concatenate([block[likely], block[~likely]])
+    return any(memo.outcome(_divisor_from_ints(tuple(c))).passed for c in block.tolist())
+
+
+def _recurse_classes(
+    G: Multigraph, memo: ToricMemo | None, reps: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Rank, toric rank and trial-disagreement bit of the class of each
+    row of reps, whose class keys are the rows of keys, all solved as one
+    recursion over classes (Baker-Norine):
+
+        r(c) = -1 if |c| is empty, else 1 + min over v of r(c - e_v).
+
+    The toric rank is the same recursion with "some member of |c| passes
+    the toric test" (T(c)) in place of "|c| is nonempty", and the
+    disagreement bit of c says whether deciding T on c, or on a class
+    its toric recursion descends into, read a disagreeing verdict.
+
+    The classes met are collected degree by degree from the top down,
+    each effective class bringing its n children; T is decided only on
+    the given classes and on the children of classes where it holds.
+    |c| comes from one keyed composition table per degree, or from
+    ``_members`` where that table passes the element budget.  Then the
+    ranks are filled in from degree 0 up.
+    """
+    n, width = G.n, keys.shape[1]
+    moduli = _class_data(G)[1]
+    eye = np.eye(n, dtype=np.int64)
+    unit = _class_keys_batch(G, eye)
+    degrees = reps.sum(axis=1).tolist()
+    top = max(degrees, default=-1)
+    # per degree 0..top: class key bytes -> position, one representative
+    # per class, and whether its toric rank is needed
+    index: list[dict[bytes, int]] = [{} for _ in range(top + 1)]
+    found: list[list[np.ndarray]] = [[] for _ in range(top + 1)]
+    wanted: list[list[bool]] = [[] for _ in range(top + 1)]
+
+    def meet(k: int, key: bytes, rep: np.ndarray, toric: bool) -> int:
+        j = index[k].setdefault(key, len(found[k]))
+        if j == len(found[k]):
+            found[k].append(rep)
+            wanted[k].append(toric)
+        elif toric:
+            wanted[k][j] = True
+        return j
+
+    toric = memo is not None
+    position = [
+        meet(k, key, rep, toric) if k >= 0 else -1
+        for k, key, rep in zip(degrees, _row_keys(keys).tolist(), reps)
+    ]
+    # per degree: effective, T, own disagreement, and the positions of
+    # the children of the effective classes one degree down
+    descent: list[tuple[np.ndarray, ...]] = [()] * (top + 1)
+    for k in range(top, -1, -1):
+        reps_k = np.array(found[k], dtype=np.int64).reshape(-1, n)
+        table = _degree_classes(G, k) if len(reps_k) else None
+        if table is None:
+            members = [_members(G, Divisor(tuple(r))) for r in reps_k.tolist()]
+        else:
+            empty = reps_k[:0]
+            members = [table.get(key, empty) for key in index[k]]
+        effective = np.array([len(m) > 0 for m in members], dtype=bool)
+        passes = np.zeros(len(members), dtype=bool)
+        own = np.zeros(len(members), dtype=bool)
+        for j in np.flatnonzero(effective & np.array(wanted[k], dtype=bool)).tolist():
+            before = memo.disagreement_reads
+            passes[j] = _any_passes(memo, members[j])
+            own[j] = memo.disagreement_reads > before
+        if k == 0:  # every class of degree -1 is position 0 of the level below
+            children = np.zeros((effective.sum(), n), dtype=np.int64)
+        else:
+            keys_k = np.frombuffer(b"".join(index[k]), dtype=np.int64).reshape(-1, width)
+            child_keys = keys_k[effective][:, None, :] - unit
+            np.remainder(child_keys, moduli, out=child_keys, where=moduli != 0)
+            child_reps = (reps_k[effective][:, None, :] - eye).reshape(-1, n)
+            children = np.array(
+                [
+                    meet(k - 1, key, rep, t)
+                    for key, rep, t in zip(
+                        _row_keys(child_keys.reshape(-1, width)).tolist(),
+                        child_reps,
+                        np.repeat(passes[effective], n).tolist(),
+                    )
+                ],
+                dtype=np.int64,
+            ).reshape(-1, n)
+        descent[k] = effective, passes, own, children
+    # bottom-up; degree -1 is one class with no effective member
+    below = np.array([-1]), np.array([-1]), np.array([False])
+    solved = []
+    for effective, passes, own, children in descent:
+        r_below, t_below, d_below = below
+        r = np.full(len(effective), -1)
+        r[effective] = 1 + r_below[children].min(axis=1)
+        t = np.full(len(effective), -1)
+        tested = children[passes[effective]]
+        t[passes] = 1 + t_below[tested].min(axis=1)
+        d = own.copy()
+        d[passes] |= d_below[tested].any(axis=1)
+        below = r, t, d
+        solved.append(below)
+    per_class = np.zeros((len(reps), 3), dtype=np.int64)
+    for j, (k, i) in enumerate(zip(degrees, position)):
+        if k < 0:
+            per_class[j] = -1, -1, 0
+        else:
+            r, t, d = solved[k]
+            per_class[j] = r[i], t[i], d[i]
+    return per_class
+
+
 def _solve_cases(
-    graph_id: int, G: Multigraph, config: ExperimentConfig, divisors: np.ndarray
+    graph_id: int,
+    G: Multigraph,
+    config: ExperimentConfig,
+    divisors: np.ndarray,
+    solve_classes: Callable[[Multigraph, ToricMemo | None, np.ndarray, np.ndarray], np.ndarray],
 ) -> _CaseBlock:
     """The cases of one graph, one per row of divisors, in row order.
 
     Equivalent divisors have literally the same linear system, hence the
     same rank and the same toric rank.  So the rows D and their duals
-    K - D are grouped by class key, each class is solved once, and the
-    results are broadcast back to the rows.
+    K - D are grouped by class key, solve_classes solves each class once
+    from one representative, and the results are broadcast back to the
+    rows.  The exhaustive driver passes _recurse_classes, which solves
+    a graph's classes together; the random sweep passes _scan_classes,
+    since the recursion would walk the whole effective down-set of its
+    one high-degree class.
     """
     m = len(divisors)
-    tcfg = config.toric_config() if config.toric else None
-    memo = ToricMemo(G, tcfg) if tcfg is not None else None
+    memo = ToricMemo(G, config.toric_config()) if config.toric else None
     rows = np.concatenate([divisors, canonical_divisor(G).as_array() - divisors])
-    _, first, inverse = np.unique(
-        _row_keys(_class_keys_batch(G, rows)), return_index=True, return_inverse=True
-    )
+    keys = _class_keys_batch(G, rows)
+    _, first, inverse = np.unique(_row_keys(keys), return_index=True, return_inverse=True)
     # per class: rank, toric rank, and whether the toric search read a
     # trial-disagreeing verdict
-    per_class = np.zeros((len(first), 3), dtype=np.int64)
-    for j, i in enumerate(first.tolist()):
-        D = Divisor(tuple(rows[i].tolist()))
-        per_class[j, 0] = rank(G, D).rank
-        if memo is not None:
-            before = memo.disagreement_reads
-            per_class[j, 1] = toric_rank(G, D, tcfg, memo).rank
-            per_class[j, 2] = memo.disagreement_reads > before
-    sol = per_class[inverse].reshape(2, m, 3)
+    sol = solve_classes(G, memo, rows[first], keys[first])[inverse].reshape(2, m, 3)
     toric = memo is not None
     return _CaseBlock(
         graph_id=graph_id,
@@ -630,7 +786,7 @@ def _graph_cases(graph_id: int, G: Multigraph, config: ExperimentConfig) -> _Cas
     window = g if config.window is None else config.window
     rows = [np.empty((0, G.n), dtype=np.int64)]
     rows += (_compositions_array(G.n, d, -window, d + window) for d in range(deg_lo, deg_hi + 1))
-    return _solve_cases(graph_id, G, config, np.concatenate(rows))
+    return _solve_cases(graph_id, G, config, np.concatenate(rows), _recurse_classes)
 
 
 def _graph_worker(args: tuple[int, tuple, ExperimentConfig]) -> _CaseBlock:
@@ -754,7 +910,9 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
             n, g - 1, derive_seed(config.seed, "sweep-divisor", attempt - 1)
         )
         blocks.append(
-            _solve_cases(len(graphs), G, config, np.array([D.coeffs], dtype=np.int64))
+            _solve_cases(
+                len(graphs), G, config, np.array([D.coeffs], dtype=np.int64), _scan_classes
+            )
         )
         graphs.append(G)
     return _assemble(config, graphs, blocks, t0)

@@ -13,13 +13,13 @@ to D, computed exactly in one of two ways:
    sorted, and the class data is one cached Smith form per graph, so a
    call costs one key product over the table: O(C(d + n - 1, n - 1) * n
    * k) for k nontrivial invariant factors.
-2. Walk.  Above the budget, or when a class key would leave the int64
-   range, Baker-Norine's greedy algorithm first finds one effective
-   representative or proves there is none: a vertex in debt borrows,
-   and D is unwinnable once every vertex has borrowed (negative degree
-   is rejected up front).  Breadth-first search from it over the
-   2^n - 2 proper nonempty subset firings, keeping effective results
-   only, then reaches all of |D| (van Dobben de Bruyn-Gijswijt): if E
+2. Walk.  Above the budget, or when an invariant factor of the
+   Laplacian passes 2^62, Baker-Norine's greedy algorithm first finds
+   one effective representative or proves there is none: a vertex in
+   debt borrows, and D is unwinnable once every vertex has borrowed
+   (negative degree is rejected up front).  Breadth-first search from
+   it over the 2^n - 2 proper nonempty subset firings, keeping
+   effective results only, then reaches all of |D| (van Dobben de Bruyn-Gijswijt): if E
    and E' = E - L f are both effective and f is not constant, let S be
    the set where f is largest.  Each v in S holds E(v) >= (L f)(v)
    chips, at least one per edge leaving S, so firing S from E stays
@@ -89,19 +89,23 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # Laplacian.  Diagonalizing L as U L V = S with unimodular U, V makes the
 # test cheap: y is in im(L) iff (U y)_i is divisible by S_ii (rows with
 # S_ii = 0 must vanish exactly).  The tuple of residues is a complete
-# invariant of the divisor class.  The class solver of the experiment
-# drivers groups divisors by it and solves each class once, and the
-# filter path of the member enumeration reads |D| off the composition
-# table with it; so a graph is diagonalized at most once while its
-# entry stays in the cache.  Keys keep only the nontrivial invariant
-# factors: rows with S_ii = 1 say nothing and are dropped, and the rows
-# with S_ii > 1 are reduced mod S_ii, so key entries stay below the
-# largest factor even where U itself has entries past 2^40.  (The row
-# with S_ii = 0 is +-(1, ..., 1) on a connected graph.)  Factors
-# themselves pass 2^40 on some 16-vertex graphs, so the int64 bound is
-# checked per batch, on the product that can overflow.  Only the key is
-# derived; no reduced representative divisor is ever produced or
-# exposed.
+# invariant of the divisor class.  The experiment drivers group divisors
+# by it and solve each class once.  The exhaustive one also keys the
+# composition table of each degree once and groups its rows by key,
+# which lists every effective class of that degree with its linear
+# system; the key of c - e_v is the key of c minus that of e_v, so the
+# rank recursion over classes never leaves the keys.  The filter path of
+# the member enumeration reads |D| off the composition table the same
+# way.  So a graph is diagonalized at most once while its entry stays in
+# the cache.  Keys keep only the nontrivial invariant factors: rows with
+# S_ii = 1 say nothing and are dropped, and the rows with S_ii > 1 are
+# reduced mod S_ii, so key entries stay below the largest factor even
+# where U itself has entries past 2^40.  (The row with S_ii = 0 is
+# +-(1, ..., 1) on a connected graph.)  Factors themselves pass 2^40 on
+# some 16-vertex graphs, so the int64 bound is checked per batch, on the
+# product that can overflow, and a batch past it is keyed over Python
+# ints.  Only the key is derived; no reduced representative divisor is
+# ever produced or exposed.
 
 
 def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -183,10 +187,13 @@ def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
-    """Class keys for an (m, n) array of divisors, one key row each.
+    """Class keys for an (m, n) array of divisors, one int64 key row each.
 
     Each key entry is a sum of n products of a divisor entry and a key
-    row entry, so int64 holds it while max|U| * n * max|D| < 2^63.
+    row entry, so int64 holds it while max|U| * n * max|D| < 2^63.  Past
+    that the products are taken over Python ints; the reduced entries
+    are below their factor, so the keys fit int64 again.  Raises
+    OverflowError only when a factor itself passes 2^62.
     """
     data = _class_data(G)
     if data is None:
@@ -194,10 +201,12 @@ def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     U, moduli = data
     divisors = np.asarray(divisors, dtype=np.int64)
     largest = max(int(divisors.max(initial=0)), -int(divisors.min(initial=0)))
-    if int(np.abs(U).max(initial=0)) * G.n * largest >= 1 << 63:
-        raise OverflowError("class key past the int64 range")
-    keys = divisors @ U.T
-    return np.remainder(keys, moduli, out=keys, where=moduli != 0)
+    if int(np.abs(U).max(initial=0)) * G.n * largest < 1 << 63:
+        keys = divisors @ U.T
+    else:
+        keys = divisors.astype(object) @ U.T.astype(object)
+    np.remainder(keys, moduli, out=keys, where=moduli != 0)
+    return keys.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +305,7 @@ def _compositions_array(n: int, d: int, lo: int = 0, hi: int | None = None) -> n
 
 def _filter_members(G: Multigraph, D: Divisor) -> np.ndarray:
     """|D| as the compositions of deg(D) in the class of D, in table
-    order.  Raises OverflowError where class keys leave int64."""
+    order.  Raises OverflowError where an invariant factor passes 2^62."""
     comps = _compositions_array(G.n, degree(D))
     key = _class_keys_batch(G, D.as_array()[None, :])
     return comps[(_class_keys_batch(G, comps) == key).all(axis=1)]
@@ -336,7 +345,7 @@ def _walk_members(G: Multigraph, D: Divisor) -> np.ndarray:
 
 def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
     """|D| by the filter while the composition table of deg(D) fits the
-    element budget and its keys fit int64, else by the walk."""
+    element budget and the graph has class keys, else by the walk."""
     d = degree(D)
     if d >= 0 and comb(d + G.n - 1, G.n - 1) * G.n <= _ELEMENT_BUDGET:
         with suppress(OverflowError):

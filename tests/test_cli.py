@@ -239,16 +239,16 @@ def test_readme_random_sweep_at_seed_0(tmp_path, capsys):
 def test_crashed_sweep_leaves_no_report(tmp_path, capsys, monkeypatch, earlier):
     from chipfire import experiments
 
-    real = experiments.rank
+    real = experiments._degree_classes
     calls = []
 
-    def failing(G, D):
-        calls.append(D)
+    def failing(G, k):
+        calls.append(k)
         if len(calls) > 20:
-            raise RuntimeError("rank broke partway")
-        return real(G, D)
+            raise RuntimeError("class table broke partway")
+        return real(G, k)
 
-    monkeypatch.setattr(experiments, "rank", failing)
+    monkeypatch.setattr(experiments, "_degree_classes", failing)
     out_path = tmp_path / "r.csv"
     if earlier is not None:
         out_path.write_text(earlier)
@@ -257,7 +257,7 @@ def test_crashed_sweep_leaves_no_report(tmp_path, capsys, monkeypatch, earlier):
         "--format", "csv", "--workers", "1", "--out", str(out_path),
     ]
     assert main(argv) == 3
-    assert "rank broke partway" in capsys.readouterr().err
+    assert "class table broke partway" in capsys.readouterr().err
     assert len(calls) == 21
     if earlier is None:
         assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chipfire as cf
 from chipfire import (
@@ -18,7 +22,7 @@ from chipfire import (
 )
 from chipfire import experiments, linsys
 
-from .helpers import canonical_adjacency, connected_multigraphs_up_to_iso
+from .helpers import canonical_adjacency, connected_multigraphs_up_to_iso, graph_and_divisor
 
 
 def test_config_validation_branches():
@@ -390,6 +394,30 @@ def test_trial_disagreement_tags_every_case_of_affected_classes(monkeypatch):
     assert report.violation_count == 0
 
 
+def test_trial_disagreement_tags_classes_whose_recursion_reads_it(monkeypatch):
+    # Degree 1 on genus <= 2: the classes of D and K - D have degree 1 or
+    # -1, and the toric recursion of a class C decides T on the zero class
+    # iff T(C) holds and C - e_v ~ 0 for some v.
+    cfg = _tiny_exhaustive(genus_max=2, degree_min=1, degree_max=1, window=1)
+    _flag_verdicts(monkeypatch, lambda H, coeffs: not any(coeffs))
+    report = run_exhaustive(cfg)
+    tcfg = cfg.toric_config()
+
+    def reads_zero(G, C):
+        units = [Divisor(tuple(int(i == v) for i in range(G.n))) for v in range(G.n)]
+        return cf.toric_rank(G, C, tcfg).rank >= 0 and any(
+            Divisor.zero(G.n) in cf.linear_system(G, C - e) for e in units
+        )
+
+    expected = []
+    for rec in report.cases:
+        G, D = report.graphs[rec.graph_id], Divisor(rec.divisor)
+        if reads_zero(G, D) or reads_zero(G, cf.canonical_divisor(G) - D):
+            expected.append(rec.case)
+    assert 0 < len(expected) < report.case_count
+    assert [rec.case for rec in report.cases if rec.anomalies] == expected
+
+
 def test_random_sweep_tags_trial_disagreements(monkeypatch):
     cfg = ExperimentConfig(mode="random-sweep", cases=2, min_genus=2, n_min=4, n_max=4, seed=5)
     assert run_random_sweep(cfg).anomaly_count == 0
@@ -416,14 +444,104 @@ def test_random_sweep_rejects_unreachable_genus():
         dataclasses.replace(cfg, mode="exhaustive").validate()
 
 
-def test_toric_sweep_enumerates_each_solved_class_once(monkeypatch):
-    # rank and toric_rank of one class representative share one |D|
-    computed, solved = [], []
-    real_compute, real_rank = linsys._compute_members, experiments.rank
-    monkeypatch.setattr(linsys, "_compute_members", lambda G, D: computed.append(D) or real_compute(G, D))
-    monkeypatch.setattr(experiments, "rank", lambda G, D: solved.append(D) or real_rank(G, D))
+def _every_class(G, d):
+    """One representative of each divisor class of degree d: the orbit of
+    d e_0 under adding e_v - e_0, deduplicated by class key."""
+    n = G.n
+    frontier = np.zeros((1, n), dtype=np.int64)
+    frontier[0, 0] = d
+    steps = (np.eye(n, dtype=np.int64) - np.eye(n, dtype=np.int64)[0])[1:]
+    found = {}
+    while len(frontier):
+        fresh = []
+        for key, row in zip(linsys._row_keys(linsys._class_keys_batch(G, frontier)).tolist(), frontier):
+            if key not in found:
+                found[key] = row
+                fresh.append(row)
+        frontier = (np.array(fresh, dtype=np.int64).reshape(-1, 1, n) + steps).reshape(-1, n)
+    return np.array(list(found.values()), dtype=np.int64).reshape(-1, n)
+
+
+def _assert_recursion_matches_scans(G, reps, memo):
+    keys = linsys._class_keys_batch(G, reps)
+    got = experiments._recurse_classes(G, memo, reps, keys)[:, :2].tolist()
+    cfg = memo.config
+    want = [
+        [cf.rank(G, Divisor(tuple(r))).rank, cf.toric_rank(G, Divisor(tuple(r)), cfg, memo).rank]
+        for r in reps.tolist()
+    ]
+    assert got == want, (G.adj, reps.tolist())
+
+
+def test_class_recursion_matches_rank_scans_on_every_class():
+    cfg = cf.ToricConfig()
+    graphs = list(enumerate_treeless_graphs(5, (1, 3)))
+    assert len(graphs) == 60
+    for G in graphs:
+        g = cf.genus(G)
+        moduli = linsys._class_data(G)[1]
+        jacobian = int(np.prod(moduli[moduli != 0]))
+        reps = [_every_class(G, d) for d in range(-1, 2 * g)]
+        assert all(len(r) == jacobian for r in reps)
+        _assert_recursion_matches_scans(G, np.concatenate(reps), cf.ToricMemo(G, cfg))
+
+
+def test_class_recursion_reads_members_past_the_table_budget(monkeypatch):
+    # a budget of 20 entries holds the tables of degrees 0 and 1 on four
+    # vertices; every higher degree reads |c| from _members
+    looked_up = []
+    real = experiments._members
+    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 20)
+    monkeypatch.setattr(experiments, "_members", lambda G, D: looked_up.append(D) or real(G, D))
+    cfg = cf.ToricConfig()
+    for G in enumerate_treeless_graphs(4, (1, 3)):
+        reps = np.concatenate([_every_class(G, d) for d in range(-1, 2 * cf.genus(G))])
+        _assert_recursion_matches_scans(G, reps, cf.ToricMemo(G, cfg))
+    assert all(cf.degree(D) >= 2 for D in looked_up) and len(looked_up) > 10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph_and_divisor(), st.sampled_from([cf.ToricConfig(), cf.ToricConfig(prime=5, trials=1)]))
+def test_class_recursion_matches_rank_scans_on_random_divisors(case, cfg):
+    # over F_5 many verdicts come out wrong, so toric ranks vary among
+    # the classes of one degree; T stays a class property all the same
+    G, coeffs = case
+    reps = np.array([coeffs], dtype=np.int64)
+    _assert_recursion_matches_scans(G, reps, cf.ToricMemo(G, cfg))
+
+
+def test_toric_sweep_runs_the_parents_effectivity_tests(monkeypatch):
+    # 2,028 is what one removal scan per class ran: on the default
+    # windows the recursion probes no candidate those scans did not
+    calls = []
+    real = cf.toric.toric_effective_test
+    monkeypatch.setattr(cf.toric, "toric_effective_test", lambda *a: calls.append(a) or real(*a))
+    report = run_exhaustive(ExperimentConfig(max_vertices=5, genus_min=1, genus_max=3))
+    assert report.case_count == 219813 and report.violation_count == 0
+    assert len(calls) == 2028
+
+
+def test_exhaustive_sweep_keys_each_degree_table_once(monkeypatch):
+    # the exhaustive driver solves classes by the recursion alone: no
+    # removal scan, and one keying of each (graph, degree) composition table
+    def no_scan(*args):
+        raise AssertionError("removal scan in the exhaustive sweep")
+
+    keyed = []
+    real = linsys._class_keys_batch
+
+    def recording(G, divisors):
+        k = int(divisors[0].sum()) if len(divisors) else -1
+        if k >= 0 and divisors is linsys._compositions_array(G.n, k):
+            keyed.append((G, k))
+        return real(G, divisors)
+
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_rank_scan", no_scan)
+    monkeypatch.setattr(cf.toric, "_rank_scan", no_scan)
+    monkeypatch.setattr(linsys, "_class_keys_batch", recording)
+    monkeypatch.setattr(experiments, "_class_keys_batch", recording)
     linsys._members.cache_clear()
     report = run_exhaustive(_tiny_exhaustive(genus_max=2, max_multiplicity=2))
     assert report.violation_count == 0 and report.summary["toric"]
-    assert len(solved) > 10
-    assert computed == solved
+    assert len(keyed) > 10
+    assert len(set(keyed)) == len(keyed)

@@ -164,8 +164,12 @@ def test_class_keys_past_40_bit_factors(seed, factors):
     assert (key_fired == key_D).all()
     key_e0, key_e1 = linsys._class_keys_batch(G, np.array([e[0].coeffs, e[1].coeffs]))
     assert (key_e0 != key_e1).any()
-    with pytest.raises(OverflowError):  # 2^44 * 16 * 10^7 > 2^63
-        linsys._class_keys_batch(G, np.array([(10**7,) + (0,) * 15]))
+    # 2^44 * 16 * 10^7 > 2^63: keyed over Python ints, still exact
+    big = Divisor((10**7,) + (0,) * 15)
+    exact = [10**7 * int(u) % s if s else 10**7 * int(u) for u, s in zip(rows[:, 0], factors)]
+    keys = linsys._class_keys_batch(G, np.array([big.coeffs, apply_firing(G, big, f).coeffs]))
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [exact, exact]
 
 
 def test_is_effective_equivalent():
@@ -270,6 +274,16 @@ def test_member_filter_falls_back_to_walk_on_overflow(monkeypatch):
     _assert_same_rows(linsys._compute_members(G, D), want)
     with pytest.raises(OverflowError):
         linsys._filter_members(G, D)
+
+
+def test_member_filter_keys_past_the_int64_product_bound():
+    # the factor fits 2^62, but max|U| * n * 2 passes 2^63
+    G = cf.random_connected_graph(20, 1)
+    rows, moduli = linsys._class_data(G)
+    assert moduli.tolist() == [258_646_455_464_187_608, 0]
+    assert int(np.abs(rows).max()) * 20 * 2 >= 1 << 63
+    D = Divisor((2,) + (0,) * 19)
+    _assert_same_rows(linsys._filter_members(G, D), linsys._walk_members(G, D))
 
 
 def test_class_data_remembers_an_overflowing_graph(monkeypatch):
