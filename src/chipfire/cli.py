@@ -34,16 +34,8 @@ from .experiments import (
     run_exhaustive,
     run_random_sweep,
 )
-from .graphs import (
-    Divisor,
-    InvalidGraphError,
-    Multigraph,
-    PlacementError,
-    canonical_divisor,
-    degree,
-    genus,
-)
-from .rank import rank
+from .graphs import Divisor, InvalidGraphError, Multigraph, PlacementError
+from .rank import _rr_residual, rank
 from .toric import _TORIC_MODES, ToricMemo, toric_rank
 
 __all__ = ["main", "run"]
@@ -110,19 +102,12 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     _add_toric_args(p)
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace, toric: bool) -> int:
     G = _load_graph(args.graph)
     D = _parse_divisor(args.divisor, G.n)
-    res = rank(G, D)
-    _emit({"rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)})
-    return 0
-
-
-def _cmd_toric_rank(args: argparse.Namespace) -> int:
-    G = _load_graph(args.graph)
-    D = _parse_divisor(args.divisor, G.n)
-    res = toric_rank(G, D, _config(args).toric_config())
-    _emit({"toric_rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)})
+    res = toric_rank(G, D, _config(args).toric_config()) if toric else rank(G, D)
+    prefix = "toric_" if toric else ""
+    _emit({f"{prefix}rank": res.rank, "witness_failure": list(res.witness_failure.coeffs)})
     return 0
 
 
@@ -133,40 +118,27 @@ def _reproducer(G: Multigraph, D: Divisor, extra: dict | None = None) -> None:
     print("violation " + json.dumps(obj, separators=(",", ":")), file=sys.stderr)
 
 
-def _cmd_rr_check(args: argparse.Namespace) -> int:
+def _cmd_rr_check(args: argparse.Namespace, toric: bool) -> int:
     G = _load_graph(args.graph)
     D = _parse_divisor(args.divisor, G.n)
-    K = canonical_divisor(G)
-    r = rank(G, D).rank
-    r_dual = rank(G, K - D).rank
-    residual = r - r_dual - degree(D) - 1 + genus(G)
-    _emit({"holds": residual == 0, "rank": r, "rank_dual": r_dual, "residual": residual})
+    if toric:
+        cfg = _config(args).toric_config()
+        memo = ToricMemo(G, cfg)
+        r, r_dual, residual = _rr_residual(G, D, lambda E: toric_rank(G, E, cfg, memo).rank)
+    else:
+        r, r_dual, residual = _rr_residual(G, D, lambda E: rank(G, E).rank)
+    prefix = "toric_" if toric else ""
+    out = {
+        "holds": residual == 0,
+        f"{prefix}rank": r,
+        f"{prefix}rank_dual": r_dual,
+        "residual": residual,
+    }
+    if toric:
+        out["trial_disagreements"] = len(memo.trial_disagreements())
+    _emit(out)
     if residual != 0:
-        _reproducer(G, D)
-        return 1
-    return 0
-
-
-def _cmd_toric_rr_check(args: argparse.Namespace) -> int:
-    G = _load_graph(args.graph)
-    D = _parse_divisor(args.divisor, G.n)
-    cfg = _config(args).toric_config()
-    memo = ToricMemo(G, cfg)
-    K = canonical_divisor(G)
-    rt = toric_rank(G, D, cfg, memo).rank
-    rt_dual = toric_rank(G, K - D, cfg, memo).rank
-    residual = rt - rt_dual - degree(D) - 1 + genus(G)
-    _emit(
-        {
-            "holds": residual == 0,
-            "toric_rank": rt,
-            "toric_rank_dual": rt_dual,
-            "residual": residual,
-            "trial_disagreements": len(memo.trial_disagreements()),
-        }
-    )
-    if residual != 0:
-        _reproducer(G, D, asdict(cfg))
+        _reproducer(G, D, asdict(cfg) if toric else None)
         return 1
     return 0
 
@@ -200,23 +172,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     add = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = add("rank", help="Baker-Norine rank of a divisor")
-    _add_graph_args(p)
-    p.set_defaults(func=_cmd_rank)
-
-    p = add("toric-rank", help="toric rank over a generic graph curve")
-    _add_graph_args(p)
-    _add_toric_args(p)
-    p.set_defaults(func=_cmd_toric_rank)
-
-    p = add("rr-check", help="verify the Riemann-Roch identity for one divisor")
-    _add_graph_args(p)
-    p.set_defaults(func=_cmd_rr_check)
-
-    p = add("toric-rr-check", help="verify toric Riemann-Roch for one divisor")
-    _add_graph_args(p)
-    _add_toric_args(p)
-    p.set_defaults(func=_cmd_toric_rr_check)
+    for name, handler, toric, help_text in (
+        ("rank", _cmd_rank, False, "Baker-Norine rank of a divisor"),
+        ("toric-rank", _cmd_rank, True, "toric rank over a generic graph curve"),
+        ("rr-check", _cmd_rr_check, False, "verify the Riemann-Roch identity for one divisor"),
+        ("toric-rr-check", _cmd_rr_check, True, "verify toric Riemann-Roch for one divisor"),
+    ):
+        p = add(name, help=help_text)
+        _add_graph_args(p)
+        if toric:
+            _add_toric_args(p)
+        p.set_defaults(func=partial(handler, toric=toric))
 
     p = add("exhaustive", help="sweep all 2-core graphs and divisor windows in range")
     p.add_argument("--max-vertices", type=int)

@@ -29,13 +29,11 @@ from .graphs import (
     Divisor,
     Multigraph,
     _connected,
-    _divisor_from_ints,
     canonical_divisor,
     genus,
 )
 from .linsys import (
     _ELEMENT_BUDGET,
-    _class_data,
     _class_keys_batch,
     _compositions_array,
     _members,
@@ -618,16 +616,6 @@ def _degree_classes(G: Multigraph, k: int) -> dict[bytes, np.ndarray] | None:
     return dict(zip(keys.tolist(), np.split(comps[order], bounds)))
 
 
-def _any_passes(memo: ToricMemo, block: np.ndarray) -> bool:
-    """Whether some row of block passes the toric effectivity test,
-    probed in toric_rank's order: predicted passes first, then the rest,
-    each group in lexicographic order."""
-    if len(block) > 1:
-        likely = memo._predicted_passes(block)
-        block = np.concatenate([block[likely], block[~likely]])
-    return any(memo.outcome(_divisor_from_ints(tuple(c))).passed for c in block.tolist())
-
-
 def _recurse_classes(
     G: Multigraph, memo: ToricMemo | None, reps: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
@@ -638,21 +626,21 @@ def _recurse_classes(
         r(c) = -1 if |c| is empty, else 1 + min over v of r(c - e_v).
 
     The toric rank is the same recursion with "some member of |c| passes
-    the toric test" (T(c)) in place of "|c| is nonempty", and the
-    disagreement bit of c says whether deciding T on c, or on a class
-    its toric recursion descends into, read a disagreeing verdict.
+    the toric test" (T(c), decided by memo.survives on |c|) in place of
+    "|c| is nonempty", and the disagreement bit of c says whether
+    deciding T on c, or on a class its toric recursion descends into,
+    read a disagreeing verdict.
 
     The classes met are collected degree by degree from the top down,
-    each effective class bringing its n children; T is decided only on
-    the given classes and on the children of classes where it holds.
+    each effective class bringing its n children, which are found by
+    keying the representatives c - e_v; T is decided only on the given
+    classes and on the children of classes where it holds.
     |c| comes from one keyed composition table per degree, or from
     ``_members`` where that table passes the element budget.  Then the
     ranks are filled in from degree 0 up.
     """
-    n, width = G.n, keys.shape[1]
-    moduli = _class_data(G)[1]
+    n = G.n
     eye = np.eye(n, dtype=np.int64)
-    unit = _class_keys_batch(G, eye)
     degrees = reps.sum(axis=1).tolist()
     top = max(degrees, default=-1)
     # per degree 0..top: class key bytes -> position, one representative
@@ -691,20 +679,17 @@ def _recurse_classes(
         own = np.zeros(len(members), dtype=bool)
         for j in np.flatnonzero(effective & np.array(wanted[k], dtype=bool)).tolist():
             before = memo.disagreement_reads
-            passes[j] = _any_passes(memo, members[j])
+            passes[j] = memo.survives(members[j])
             own[j] = memo.disagreement_reads > before
         if k == 0:  # every class of degree -1 is position 0 of the level below
             children = np.zeros((effective.sum(), n), dtype=np.int64)
         else:
-            keys_k = np.frombuffer(b"".join(index[k]), dtype=np.int64).reshape(-1, width)
-            child_keys = keys_k[effective][:, None, :] - unit
-            np.remainder(child_keys, moduli, out=child_keys, where=moduli != 0)
             child_reps = (reps_k[effective][:, None, :] - eye).reshape(-1, n)
             children = np.array(
                 [
                     meet(k - 1, key, rep, t)
                     for key, rep, t in zip(
-                        _row_keys(child_keys.reshape(-1, width)).tolist(),
+                        _row_keys(_class_keys_batch(G, child_reps)).tolist(),
                         child_reps,
                         np.repeat(passes[effective], n).tolist(),
                     )

@@ -93,11 +93,12 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # by it and solve each class once.  The exhaustive one also keys the
 # composition table of each degree once and groups its rows by key,
 # which lists every effective class of that degree with its linear
-# system; the key of c - e_v is the key of c minus that of e_v, so the
-# rank recursion over classes never leaves the keys.  The filter path of
-# the member enumeration reads |D| off the composition table the same
-# way.  So a graph is diagonalized at most once while its entry stays in
-# the cache.  Keys keep only the nontrivial invariant factors: rows with
+# system; its rank recursion over classes finds the children c - e_v of
+# a class by keying those representatives here too, so key arithmetic
+# lives in this module alone.  The filter path of the member
+# enumeration reads |D| off the composition table the same way.  So a
+# graph is diagonalized at most once while its entry stays in the
+# cache.  Keys keep only the nontrivial invariant factors: rows with
 # S_ii = 1 say nothing and are dropped, and the rows with S_ii > 1 are
 # reduced mod S_ii, so key entries stay below the largest factor even
 # where U itself has entries past 2^40.  (The row with S_ii = 0 is

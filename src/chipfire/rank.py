@@ -5,7 +5,8 @@ effective divisor of degree r) leaves a divisor with nonempty linear
 system; it is -1 when |D| itself is empty.  The search mirrors the
 classical loop: compute |D| once, then test chip removals level by level
 in lexicographic order until one fails.  toric_rank runs the same scan
-with a different survival test, so both live in ``_rank_scan``.
+with a different survival test, so both live in ``_rank_scan``, and
+both Riemann-Roch checks read one residual, ``_rr_residual``.
 """
 
 from __future__ import annotations
@@ -130,10 +131,20 @@ def rank(G: Multigraph, D: DivisorLike) -> RankResult:
     return _rank_scan(G, _coerce_divisor(D, G.n))
 
 
+def _rr_residual(
+    G: Multigraph, D: DivisorLike, rank_of: Callable[[Divisor], int]
+) -> tuple[int, int, int]:
+    """(r, r_dual, residual) with r = rank_of(D), r_dual = rank_of(K - D)
+    and residual = r - r_dual - (degree(D) + 1 - genus(G)), which is 0
+    iff Riemann-Roch holds for D.  verify_rr_graph, verify_rr_toric and
+    the CLI's rr-checks all read it."""
+    D = _coerce_divisor(D, G.n)
+    r = rank_of(D)
+    r_dual = rank_of(canonical_divisor(G) - D)
+    return r, r_dual, r - r_dual - degree(D) - 1 + genus(G)
+
+
 def verify_rr_graph(G: Multigraph, D: DivisorLike) -> bool:
     """Riemann-Roch for graphs:
     rank(D) - rank(K - D) == degree(D) + 1 - genus(G)."""
-    D = _coerce_divisor(D, G.n)
-    K = canonical_divisor(G)
-    lhs = rank(G, D).rank - rank(G, K - D).rank
-    return lhs == degree(D) + 1 - genus(G)
+    return _rr_residual(G, D, lambda E: rank(G, E).rank)[2] == 0

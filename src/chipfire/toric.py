@@ -50,12 +50,9 @@ from .graphs import (
     Multigraph,
     _coerce_divisor,
     _divisor_from_ints,
-    canonical_divisor,
-    degree,
-    genus,
 )
 from .linsys import _ELEMENT_BUDGET
-from .rank import RankResult, _rank_scan
+from .rank import RankResult, _rank_scan, _rr_residual
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -482,7 +479,9 @@ def toric_effective_test(
 
 @dataclass
 class ToricMemo:
-    """Shared cache of effectivity verdicts for one (graph, config) pair.
+    """Shared cache of effectivity verdicts for one (graph, config) pair,
+    and the one place that decides whether a block of candidates holds
+    a torically effective divisor (survives).
 
     toric_rank probes the same candidate representatives over and over
     (for D and for K - D, across many removals); verdicts depend only on
@@ -505,6 +504,22 @@ class ToricMemo:
         if got.trial_disagreement:
             self.disagreement_reads += 1
         return got
+
+    def survives(self, block: np.ndarray) -> bool:
+        """Whether some row of block, an (m, n) array of effective
+        divisors, passes the effectivity test.
+
+        The rows that the orientation condition predicts to pass
+        (_predicted_passes) are probed first, then the rest, each group
+        in lexicographic order, until one passes.  Every verdict is read
+        through outcome, so the order changes only how many tests run,
+        never the answer.  An empty block is False and asks no
+        prediction.
+        """
+        if len(block) > 1:
+            likely = self._predicted_passes(block)
+            block = np.concatenate([block[likely], block[~likely]])
+        return any(self.outcome(_divisor_from_ints(tuple(c))).passed for c in block.tolist())
 
     def trial_disagreements(self) -> list[tuple[int, ...]]:
         return [k for k, o in self.outcomes.items() if o.trial_disagreement]
@@ -531,7 +546,7 @@ class ToricMemo:
         be oriented so that each u takes at most d_u + 1 of them and v at
         most d_v (An-Baker-Kuperberg-Shokrieh, Backman), which is exactly
         when the generic constraint matrix has a kernel reaching every
-        block.  Only the probe order of toric_rank reads it; verdicts come
+        block.  Only the probe order of survives reads it; verdicts come
         from toric_effective_test.  All False when there is no subset
         table, which leaves the order lexicographic.  Works in chunks of
         candidates, so no product holds more than _ELEMENT_BUDGET entries.
@@ -559,13 +574,9 @@ def toric_rank(
 
     Same removal scan as rank (``rank._rank_scan``); the witness is the
     first removal no representative survives.  Each removal's block of
-    candidates, |D - E| in lexicographic order, is probed until one
-    passes: first the members that the orientation condition predicts
-    to pass (ToricMemo._predicted_passes), then the rest, each group in
-    lexicographic order.  Every probe is a toric_effective_test verdict
-    shared through the memo, so the order changes only how many tests
-    run, never whether E survives.  Without a config, the memo's config
-    is used, or the default if there is no memo.
+    candidates, |D - E| in lexicographic order, goes to memo.survives,
+    which owns the probe order.  Without a config, the memo's config is
+    used, or the default if there is no memo.
     """
     if memo is None:
         memo = ToricMemo(G, config or ToricConfig())
@@ -573,15 +584,7 @@ def toric_rank(
         raise ValueError("memo was built for a different graph")
     elif config is not None and memo.config != config:
         raise ValueError("memo was built for a different config")
-    D = _coerce_divisor(D, G.n)
-
-    def survives(block: np.ndarray) -> bool:
-        if len(block) > 1:
-            likely = memo._predicted_passes(block)
-            block = np.concatenate([block[likely], block[~likely]])
-        return any(memo.outcome(_divisor_from_ints(tuple(c))).passed for c in block.tolist())
-
-    return _rank_scan(G, D, survives)
+    return _rank_scan(G, _coerce_divisor(D, G.n), memo.survives)
 
 
 def verify_rr_toric(
@@ -591,9 +594,8 @@ def verify_rr_toric(
     memo: ToricMemo | None = None,
 ) -> bool:
     """Riemann-Roch with toric ranks on both sides:
-    toric_rank(D) - toric_rank(K - D) == degree(D) + 1 - genus(G)."""
-    D = _coerce_divisor(D, G.n)
-    K = canonical_divisor(G)
-    r = toric_rank(G, D, config, memo).rank
-    r_dual = toric_rank(G, K - D, config, memo).rank
-    return r - r_dual == degree(D) + 1 - genus(G)
+    toric_rank(D) - toric_rank(K - D) == degree(D) + 1 - genus(G).
+    Without a memo, D and K - D share one built here."""
+    if memo is None:
+        memo = ToricMemo(G, config or ToricConfig())
+    return _rr_residual(G, D, lambda E: toric_rank(G, E, config, memo).rank)[2] == 0

@@ -53,6 +53,49 @@ def test_toric_rr_check_command(c4_file, capsys):
     assert out["trial_disagreements"] == 0
 
 
+# over F_7 with two trials, the toric identity fails for (2, 0, 0, 0) on C4
+_TORIC_VIOLATION_FLAGS = "--trials 2 --seed 4 --prime 7 --nonzero-entries"
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["rank", "--divisor", "2,0,0,0"], 0, '{"rank":1,"witness_failure":[0,0,0,2]}'),
+        (["toric-rank", "--divisor", "1,1,0,0"], 0, '{"toric_rank":1,"witness_failure":[0,0,0,2]}'),
+        (
+            ["rr-check", "--divisor", "1,-1,2,0"],
+            0,
+            '{"holds":true,"rank":1,"rank_dual":-1,"residual":0}',
+        ),
+        (
+            ["toric-rr-check", "--divisor", "0,1,0,1", "--trials", "1"],
+            0,
+            '{"holds":true,"toric_rank":1,"toric_rank_dual":-1,"residual":0,'
+            '"trial_disagreements":0}',
+        ),
+        (
+            ["toric-rr-check", "--divisor", "2,0,0,0", *_TORIC_VIOLATION_FLAGS.split()],
+            1,
+            '{"holds":false,"toric_rank":0,"toric_rank_dual":-1,"residual":-1,'
+            '"trial_disagreements":1}',
+        ),
+    ],
+    ids=["rank", "toric-rank", "rr-check", "toric-rr-check", "toric-rr-check-violation"],
+)
+def test_single_case_stdout_bytes_are_pinned(c4_file, capsys, argv, code, line):
+    assert main([argv[0], "--graph", c4_file, *argv[1:]]) == code
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_rr_check_violation_exits_1_with_a_graph_reproducer(c4_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rank", lambda G, D: cf.RankResult(9, D))
+    assert main(["rr-check", "--graph", c4_file, "--divisor", "1,-1,2,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == '{"holds":false,"rank":9,"rank_dual":9,"residual":-2}\n'
+    repro = captured.err.split("violation ", 1)[1].splitlines()[0]
+    assert repro == '{"graph":"0,1,0,1;1,0,1,0;0,1,0,1;1,0,1,0","divisor":[1,-1,2,0]}'
+
+
 def test_missing_graph_file(capsys):
     assert main(["rank", "--graph", "/nonexistent/g.json", "--divisor", "0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -551,6 +551,82 @@ def test_predictions_are_chunked_within_the_element_budget(monkeypatch):
         assert _scan_pinned_graphs(graphs)[0] == expected
 
 
+def _record_survival(monkeypatch):
+    """Wrap ToricMemo.survives and toric_effective_test: returns the list
+    of tested coefficients and the list of those tested outside survives."""
+    real_survives, real_test = ToricMemo.survives, cf.toric.toric_effective_test
+    depth, tests, outside = [0], [], []
+
+    def survives(self, block):
+        depth[0] += 1
+        try:
+            return real_survives(self, block)
+        finally:
+            depth[0] -= 1
+
+    def effective_test(H, d, config=None):
+        tests.append(d.coeffs)
+        if not depth[0]:
+            outside.append(d.coeffs)
+        return real_test(H, d, config)
+
+    monkeypatch.setattr(ToricMemo, "survives", survives)
+    monkeypatch.setattr(cf.toric, "toric_effective_test", effective_test)
+    return tests, outside
+
+
+def test_every_effectivity_test_runs_inside_survives(monkeypatch):
+    tests, outside = _record_survival(monkeypatch)
+    K4 = cf.complete_graph(4)
+    toric_rank(K4, (2, 1, 0, 0))
+    assert verify_rr_toric(K4, (1, 1, 1, 0))
+    report = cf.run_exhaustive(
+        cf.ExperimentConfig(max_vertices=4, genus_min=1, genus_max=2, max_multiplicity=2)
+    )
+    assert report.summary["toric"] and report.violation_count == 0
+    assert len(tests) > 20
+    assert outside == []
+
+
+def test_survives_of_an_empty_block_is_false_and_tests_nothing(monkeypatch):
+    tests, _ = _record_survival(monkeypatch)
+    predicted = []
+    real_predict = ToricMemo._predicted_passes
+    monkeypatch.setattr(
+        ToricMemo, "_predicted_passes", lambda self, c: predicted.append(c) or real_predict(self, c)
+    )
+    memo = ToricMemo(cf.complete_graph(4), ToricConfig())
+    assert memo.survives(np.empty((0, 4), dtype=np.int64)) is False
+    assert tests == [] and predicted == [] and memo.outcomes == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_divisor())
+def test_survives_matches_the_flow_oracle(case):
+    G, coeffs = case
+    block = np.array([m.coeffs for m in cf.linear_system(G, coeffs)], dtype=np.int64)
+    block = block.reshape(-1, G.n)
+    exact = any(flow_outcome(G, row)[0] for row in block.tolist())
+    assert ToricMemo(G, ToricConfig()).survives(block) == exact
+    assert ToricMemo(G, ToricConfig()).survives(block[::-1]) == exact
+
+
+def test_verify_rr_toric_shares_one_memo_between_d_and_its_dual(monkeypatch):
+    tests, _ = _record_survival(monkeypatch)
+    # on the first two, a memo per side would test one candidate twice
+    G, cfg = cf.complete_graph(4), ToricConfig()
+    for coeffs in ((-1, 1, 1, 1), (0, 0, 0, 2), (1, 1, 1, 0)):
+        D = Divisor(coeffs)
+        tests.clear()
+        assert verify_rr_toric(G, D, cfg)
+        alone = len(tests)
+        tests.clear()
+        memo = ToricMemo(G, cfg)
+        toric_rank(G, D, cfg, memo)
+        toric_rank(G, cf.canonical_divisor(G) - D, cfg, memo)
+        assert alone == len(tests) == len(memo.outcomes), coeffs
+
+
 def test_toric_memo_validation():
     G = cf.cycle_graph(3)
     other = cf.cycle_graph(4)
