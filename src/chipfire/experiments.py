@@ -17,11 +17,11 @@ import random
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from itertools import groupby, permutations, product, repeat
+from functools import cached_property, lru_cache
+from itertools import chain, groupby, permutations, product
 from math import comb
 from multiprocessing import Pool
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,10 +34,9 @@ from .graphs import (
 )
 from .linsys import (
     _ELEMENT_BUDGET,
-    _class_keys_batch,
+    _class_codes,
     _compositions_array,
     _members,
-    _row_keys,
 )
 from .rank import rank
 from .toric import (
@@ -348,19 +347,25 @@ _ANOMALY_SETS = tuple(
 
 @dataclass
 class _CaseBlock:
-    """Cases of one graph as columns, row i being the block's i-th case.
+    """Cases of one graph, row i being the block's i-th case.
 
-    Toric columns are None when the toric check is off.  disagreement is
-    nonzero on rows whose D or K - D lies in a class whose toric rank
-    search read a trial-disagreeing verdict.  Residuals, passed and the
-    anomaly bit sets are derived from these columns.
+    Every column but the divisor is a property of the divisor class of
+    the row: classes[i] is the class of row i, and the other columns hold
+    one entry per class.  Toric columns are None when the toric check is
+    off.  disagreement is nonzero on the classes where the toric rank
+    search of D or of K - D read a trial-disagreeing verdict.  Residuals,
+    passed and the anomaly bit sets are derived from these columns.  tables lists the (degree, window) of the window tables
+    (_window_table) whose rows, in order, are divisor; None when the
+    divisors were drawn one by one.
     """
 
     graph_id: int
     n: int
     genus: int
-    degree: np.ndarray
     divisor: np.ndarray
+    classes: np.ndarray
+    tables: tuple[tuple[int, int], ...] | None
+    degree: np.ndarray
     rank: np.ndarray
     rank_dual: np.ndarray
     toric_rank: np.ndarray | None
@@ -377,7 +382,7 @@ class _CaseBlock:
         self.passed = self.residual == 0
         if self.toric_rank is None:
             self.toric_residual = None
-            self.anomalies = np.zeros(len(self), dtype=np.int64)
+            self.anomalies = np.zeros(len(self.degree), dtype=np.int64)
             return
         self.toric_residual = self.toric_rank - self.toric_rank_dual - expected
         self.passed &= self.toric_residual == 0
@@ -386,13 +391,14 @@ class _CaseBlock:
         ) * _TORIC_EXCEEDS_RANK
 
     def __len__(self) -> int:
-        return len(self.degree)
+        return len(self.divisor)
 
     def records(self, first: int, rows: np.ndarray) -> list[CaseRecord]:
         """CaseRecords of the given rows; row i is case number first + i."""
+        classes = self.classes[rows]
 
         def col(values: np.ndarray | None) -> list:
-            return [None] * len(rows) if values is None else values[rows].tolist()
+            return [None] * len(rows) if values is None else values[classes].tolist()
 
         return [
             CaseRecord(
@@ -402,7 +408,7 @@ class _CaseBlock:
             for i, d, div, r, r_dual, res, t, t_dual, t_res, p, a in zip(
                 rows.tolist(),
                 col(self.degree),
-                col(self.divisor),
+                self.divisor[rows].tolist(),
                 col(self.rank),
                 col(self.rank_dual),
                 col(self.residual),
@@ -413,6 +419,12 @@ class _CaseBlock:
                 col(self.anomalies),
             )
         ]
+
+
+def _window_table(n: int, d: int, window: int) -> np.ndarray:
+    """The divisors of degree d on n vertices with entries in
+    [-window, d + window], lexicographically ascending."""
+    return _compositions_array(n, d, -window, d + window)
 
 
 # ---------------------------------------------------------------------------
@@ -441,33 +453,108 @@ def _int_cells(values: np.ndarray) -> list[str]:
     return spelled[values - lo].tolist()
 
 
-def _block_cells(
-    b: _CaseBlock,
-    first: int,
+def _spell_divisors(divisors: np.ndarray, separator: str) -> list[str]:
+    """Each row's entries joined by separator."""
+    return list(map(separator.join, zip(*map(_int_cells, divisors.T))))
+
+
+@lru_cache(maxsize=64)
+def _divisor_cells(n: int, d: int, window: int, separator: str) -> tuple[str, ...]:
+    """The divisor cell of each row of _window_table(n, d, window).
+    Graphs with the same n and genus share their tables, hence these."""
+    return tuple(_spell_divisors(_window_table(n, d, window), separator))
+
+
+class _RowFormat(NamedTuple):
+    """How a sink spells a case row.  opening, middle and tail are the
+    row's text around its case number and divisor cell: opening comes
+    before the case number, middle takes the graph_id, n, genus and
+    degree cells, and tail the cells after the divisor, with the row
+    terminator.  null spells a disabled toric cell, booleans spells
+    passed, separator joins the divisor entries and anomalies spells
+    each anomaly bit set."""
+
+    opening: str
+    middle: str
+    tail: str
+    null: str
+    booleans: tuple[str, str]
+    separator: str
+    anomalies: tuple[str, ...]
+
+
+def _row_format(
+    template: str,
     null: str,
     booleans: tuple[str, str],
     separator: str,
-    anomalies: Sequence[str],
-) -> Iterator[tuple[str, ...]]:
-    """The cell text of each row, in _CASE_FIELDS order.  null spells a
-    disabled toric column, booleans spells passed, separator joins the
-    divisor entries and anomalies spells each anomaly bit set."""
-    m = len(b)
+    anomalies: tuple[str, ...],
+) -> _RowFormat:
+    """Split template, one %s per _CASE_FIELDS entry in that order, at
+    the case and divisor cells."""
+    pieces = template.split("%s")
+    cut = _CASE_FIELDS.index("divisor") + 1
+    middle, tail = "%s".join(pieces[1:cut]), "%s".join(pieces[cut:])
+    return _RowFormat(pieces[0], middle, tail, null, booleans, separator, anomalies)
+
+
+# 0 .. 999 as they end a number below 1000, and as they end a larger one
+_LAST_DIGITS = (tuple(map(str, range(1000))), tuple(f"{i:03d}" for i in range(1000)))
+
+
+def _case_cells(opening: str, first: int, m: int) -> tuple[list[str], list[str]]:
+    """The text of the case numbers first .. first + m - 1, each after
+    opening, as two strings a number: opening with the thousands, and
+    the last three digits.  Both lists are built from repeats and slices
+    of ready strings, so no number is spelled on its own."""
+    thousands: list[str] = []
+    units: list[str] = []
+    for k in range(first // 1000, (first + m - 1) // 1000 + 1):
+        lo, hi = max(first - 1000 * k, 0), min(first + m - 1000 * k, 1000)
+        thousands += [opening + str(k) if k else opening] * (hi - lo)
+        units += _LAST_DIGITS[k > 0][lo:hi]
+    return thousands, units
+
+
+def _block_text(b: _CaseBlock, first: int, fmt: _RowFormat) -> str:
+    """The rows of b as text, case numbers from first.
+
+    Only the case number and the divisor vary within a class, so the
+    middle and the tail of a row are spelled once per class, the divisor
+    cells once per window table (_divisor_cells), the case numbers a
+    thousand at a time (_case_cells), and each row is the join of five
+    ready strings.
+    """
     toric = (b.toric_rank, b.toric_rank_dual, b.toric_residual)
-    return zip(
-        map(str, range(first, first + m)),
-        repeat(str(b.graph_id), m),
-        repeat(str(b.n), m),
-        repeat(str(b.genus), m),
-        _int_cells(b.degree),
-        map(separator.join, zip(*map(_int_cells, b.divisor.T))),
-        _int_cells(b.rank),
-        _int_cells(b.rank_dual),
-        _int_cells(b.residual),
-        *(repeat(null, m) if c is None else _int_cells(c) for c in toric),
-        [booleans[p] for p in b.passed.tolist()],
-        [anomalies[a] for a in b.anomalies.tolist()],
-    )
+
+    def cells(values: np.ndarray | None) -> list[str]:
+        return [fmt.null] * len(b.degree) if values is None else list(map(str, values.tolist()))
+
+    middle = [fmt.middle % (b.graph_id, b.n, b.genus, d) for d in b.degree.tolist()]
+    tail = [
+        fmt.tail % row
+        for row in zip(
+            cells(b.rank),
+            cells(b.rank_dual),
+            cells(b.residual),
+            *map(cells, toric),
+            [fmt.booleans[p] for p in b.passed.tolist()],
+            [fmt.anomalies[a] for a in b.anomalies.tolist()],
+        )
+    ]
+    if b.tables is None:
+        divisors = _spell_divisors(b.divisor, fmt.separator)
+    else:
+        divisors = chain.from_iterable(
+            _divisor_cells(b.n, d, window, fmt.separator) for d, window in b.tables
+        )
+    m = len(b)
+    out = [""] * (5 * m)
+    out[0::5], out[1::5] = _case_cells(fmt.opening, first, m)
+    out[2::5] = np.array(middle, dtype=object)[b.classes].tolist()
+    out[3::5] = divisors
+    out[4::5] = np.array(tail, dtype=object)[b.classes].tolist()
+    return "".join(out)
 
 
 class _Sink:
@@ -491,12 +578,16 @@ class _Sink:
         pass
 
 
-_JSON_ROW = (
+# rows end in a comma, which the sink drops after a block's last row
+_JSON_ROWS = _row_format(
     "{"
     + ",".join(f'"{k}":[%s]' if k == "divisor" else f'"{k}":%s' for k in _CASE_FIELDS)
-    + "}"
+    + "},",
+    "null",
+    ("false", "true"),
+    ",",
+    tuple(json.dumps(list(s), separators=(",", ":")) for s in _ANOMALY_SETS),
 )
-_JSON_ANOMALIES = tuple(json.dumps(list(s), separators=(",", ":")) for s in _ANOMALY_SETS)
 
 
 class _JsonSink(_Sink):
@@ -521,8 +612,7 @@ class _JsonSink(_Sink):
         self.fh.write(text[:-1] + ',"cases":[')
 
     def cases(self, block: _CaseBlock, first: int) -> None:
-        rows = _block_cells(block, first, "null", ("false", "true"), ",", _JSON_ANOMALIES)
-        text = ",".join([_JSON_ROW % row for row in rows])
+        text = _block_text(block, first, _JSON_ROWS)[:-1]
         if text:
             self.fh.write(text if self.first else "," + text)
             self.first = False
@@ -531,7 +621,13 @@ class _JsonSink(_Sink):
         self.fh.write('],"summary":' + json.dumps(summary, separators=(",", ":")) + "}\n")
 
 
-_CSV_ANOMALIES = tuple(";".join(s) for s in _ANOMALY_SETS)
+_CSV_ROWS = _row_format(
+    ",".join(["%s"] * len(_CASE_FIELDS)) + "\n",
+    "",
+    ("0", "1"),
+    "|",
+    tuple(";".join(s) for s in _ANOMALY_SETS),
+)
 
 
 class _CsvSink(_Sink):
@@ -548,9 +644,7 @@ class _CsvSink(_Sink):
         )
 
     def cases(self, block: _CaseBlock, first: int) -> None:
-        rows = _block_cells(block, first, "", ("0", "1"), "|", _CSV_ANOMALIES)
-        if len(block):
-            self.fh.write("\n".join(map(",".join, rows)) + "\n")
+        self.fh.write(_block_text(block, first, _CSV_ROWS))
 
     def finish(self, summary: dict) -> None:
         parts = " ".join(f"{k}={summary[k]}" for k in sorted(summary))
@@ -584,9 +678,7 @@ def _report_file(path: str | None) -> Iterator[IO[str] | None]:
 # exhaustive driver
 
 
-def _scan_classes(
-    G: Multigraph, memo: ToricMemo | None, reps: np.ndarray, keys: np.ndarray
-) -> np.ndarray:
+def _scan_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) -> np.ndarray:
     """Rank, toric rank and trial-disagreement bit of the class of each
     row of reps, one removal scan each (``rank`` and ``toric_rank``)."""
     per_class = np.zeros((len(reps), 3), dtype=np.int64)
@@ -600,28 +692,24 @@ def _scan_classes(
     return per_class
 
 
-def _degree_classes(G: Multigraph, k: int) -> dict[bytes, np.ndarray] | None:
-    """|c| of every effective class c of degree k >= 0, keyed by the bytes
-    of its class key, from one keying of the composition table; each
-    |c| in lexicographic order.  None when the table passes the element
-    budget."""
+def _degree_classes(G: Multigraph, k: int) -> dict | None:
+    """|c| of every effective class c of degree k >= 0, keyed by its class
+    code (``_class_codes``), from one coding of the composition table;
+    each |c| in lexicographic order.  None when the table passes the
+    element budget."""
     if comb(k + G.n - 1, G.n - 1) * G.n > _ELEMENT_BUDGET:
         return None
     comps = _compositions_array(G.n, k)
-    keys, inverse = np.unique(
-        _row_keys(_class_keys_batch(G, comps)), return_inverse=True
-    )
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse, minlength=len(keys)))[:-1]
-    return dict(zip(keys.tolist(), np.split(comps[order], bounds)))
+    codes = _class_codes(G, comps)
+    order = np.argsort(codes, kind="stable")
+    codes, comps = codes[order], comps[order]
+    bounds = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1], [True]])).tolist()
+    return {c: comps[a:b] for c, a, b in zip(codes[bounds[:-1]].tolist(), bounds, bounds[1:])}
 
 
-def _recurse_classes(
-    G: Multigraph, memo: ToricMemo | None, reps: np.ndarray, keys: np.ndarray
-) -> np.ndarray:
+def _recurse_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) -> np.ndarray:
     """Rank, toric rank and trial-disagreement bit of the class of each
-    row of reps, whose class keys are the rows of keys, all solved as one
-    recursion over classes (Baker-Norine):
+    row of reps, all solved as one recursion over classes (Baker-Norine):
 
         r(c) = -1 if |c| is empty, else 1 + min over v of r(c - e_v).
 
@@ -631,76 +719,62 @@ def _recurse_classes(
     deciding T on c, or on a class its toric recursion descends into,
     read a disagreeing verdict.
 
-    The classes met are collected degree by degree from the top down,
-    each effective class bringing its n children, which are found by
-    keying the representatives c - e_v; T is decided only on the given
-    classes and on the children of classes where it holds.
-    |c| comes from one keyed composition table per degree, or from
-    ``_members`` where that table passes the element budget.  Then the
-    ranks are filled in from degree 0 up.
+    The classes met are collected degree by degree from the top down:
+    the given rows of that degree and the children c - e_v of the
+    effective classes one degree up are grouped by class code, in one
+    batch per degree.  T is decided only on the given classes and on the
+    children of classes where it holds.  |c| comes from one coded
+    composition table per degree, or from ``_members`` where that table
+    passes the element budget.  Then the ranks are filled in from
+    degree 0 up.
     """
     n = G.n
     eye = np.eye(n, dtype=np.int64)
-    degrees = reps.sum(axis=1).tolist()
-    top = max(degrees, default=-1)
-    # per degree 0..top: class key bytes -> position, one representative
-    # per class, and whether its toric rank is needed
-    index: list[dict[bytes, int]] = [{} for _ in range(top + 1)]
-    found: list[list[np.ndarray]] = [[] for _ in range(top + 1)]
-    wanted: list[list[bool]] = [[] for _ in range(top + 1)]
-
-    def meet(k: int, key: bytes, rep: np.ndarray, toric: bool) -> int:
-        j = index[k].setdefault(key, len(found[k]))
-        if j == len(found[k]):
-            found[k].append(rep)
-            wanted[k].append(toric)
-        elif toric:
-            wanted[k][j] = True
-        return j
-
+    degrees = reps.sum(axis=1)
+    top = int(degrees.max(initial=-1))
     toric = memo is not None
-    position = [
-        meet(k, key, rep, toric) if k >= 0 else -1
-        for k, key, rep in zip(degrees, _row_keys(keys).tolist(), reps)
-    ]
-    # per degree: effective, T, own disagreement, and the positions of
-    # the children of the effective classes one degree down
-    descent: list[tuple[np.ndarray, ...]] = [()] * (top + 1)
+    # position of each given row among the classes of its degree
+    position = np.zeros(len(reps), dtype=np.int64)
+    # per degree, top down: effective, T, own disagreement, and the
+    # positions of the children of the effective classes one degree down
+    descent: list[list[np.ndarray]] = []
+    # the children of the degree above, and whether T holds at their parent
+    pending, pending_toric = reps[:0], np.zeros(0, dtype=bool)
     for k in range(top, -1, -1):
-        reps_k = np.array(found[k], dtype=np.int64).reshape(-1, n)
+        given = np.flatnonzero(degrees == k)
+        rows = np.concatenate([reps[given], pending])
+        codes = _class_codes(G, rows)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        position[given] = inverse[: len(given)]
+        if descent:
+            descent[-1][3] = inverse[len(given) :].reshape(-1, n)
+        wanted = np.zeros(len(first), dtype=bool)
+        wanted[inverse[: len(given)]] = toric
+        wanted[inverse[len(given) :][pending_toric]] = True
+        reps_k = rows[first]
         table = _degree_classes(G, k) if len(reps_k) else None
         if table is None:
             members = [_members(G, Divisor(tuple(r))) for r in reps_k.tolist()]
         else:
             empty = reps_k[:0]
-            members = [table.get(key, empty) for key in index[k]]
+            members = [table.get(code, empty) for code in codes[first].tolist()]
         effective = np.array([len(m) > 0 for m in members], dtype=bool)
         passes = np.zeros(len(members), dtype=bool)
         own = np.zeros(len(members), dtype=bool)
-        for j in np.flatnonzero(effective & np.array(wanted[k], dtype=bool)).tolist():
+        for j in np.flatnonzero(effective & wanted).tolist():
             before = memo.disagreement_reads
             passes[j] = memo.survives(members[j])
             own[j] = memo.disagreement_reads > before
-        if k == 0:  # every class of degree -1 is position 0 of the level below
-            children = np.zeros((effective.sum(), n), dtype=np.int64)
-        else:
-            child_reps = (reps_k[effective][:, None, :] - eye).reshape(-1, n)
-            children = np.array(
-                [
-                    meet(k - 1, key, rep, t)
-                    for key, rep, t in zip(
-                        _row_keys(_class_keys_batch(G, child_reps)).tolist(),
-                        child_reps,
-                        np.repeat(passes[effective], n).tolist(),
-                    )
-                ],
-                dtype=np.int64,
-            ).reshape(-1, n)
-        descent[k] = effective, passes, own, children
+        # set by the degree below; below degree 0 every child is the one
+        # class of degree -1, at position 0
+        children = np.zeros((effective.sum(), n), dtype=np.int64)
+        descent.append([effective, passes, own, children])
+        pending = (reps_k[effective][:, None, :] - eye).reshape(-1, n)
+        pending_toric = np.repeat(passes[effective], n)
     # bottom-up; degree -1 is one class with no effective member
     below = np.array([-1]), np.array([-1]), np.array([False])
     solved = []
-    for effective, passes, own, children in descent:
+    for effective, passes, own, children in reversed(descent):
         r_below, t_below, d_below = below
         r = np.full(len(effective), -1)
         r[effective] = 1 + r_below[children].min(axis=1)
@@ -710,14 +784,12 @@ def _recurse_classes(
         d = own.copy()
         d[passes] |= d_below[tested].any(axis=1)
         below = r, t, d
-        solved.append(below)
+        solved.append(np.stack(below, axis=1))
     per_class = np.zeros((len(reps), 3), dtype=np.int64)
-    for j, (k, i) in enumerate(zip(degrees, position)):
-        if k < 0:
-            per_class[j] = -1, -1, 0
-        else:
-            r, t, d = solved[k]
-            per_class[j] = r[i], t[i], d[i]
+    per_class[:] = -1, -1, 0
+    for k, level in enumerate(solved):
+        given = degrees == k
+        per_class[given] = level[position[given]]
     return per_class
 
 
@@ -726,39 +798,44 @@ def _solve_cases(
     G: Multigraph,
     config: ExperimentConfig,
     divisors: np.ndarray,
-    solve_classes: Callable[[Multigraph, ToricMemo | None, np.ndarray, np.ndarray], np.ndarray],
+    solve_classes: Callable[[Multigraph, ToricMemo | None, np.ndarray], np.ndarray],
+    tables: tuple[tuple[int, int], ...] | None = None,
 ) -> _CaseBlock:
     """The cases of one graph, one per row of divisors, in row order.
 
     Equivalent divisors have literally the same linear system, hence the
-    same rank and the same toric rank.  So the rows D and their duals
-    K - D are grouped by class key, solve_classes solves each class once
-    from one representative, and the results are broadcast back to the
-    rows.  The exhaustive driver passes _recurse_classes, which solves
-    a graph's classes together; the random sweep passes _scan_classes,
-    since the recursion would walk the whole effective down-set of its
-    one high-degree class.
+    same rank and the same toric rank, and so have their duals K - D.
+    So the rows are grouped by class code, solve_classes solves the
+    class of one representative D and of its K - D once each, and the
+    block keeps the row -> class index.  The exhaustive driver passes
+    _recurse_classes, which solves a graph's classes together; the
+    random sweep passes _scan_classes, since the recursion would walk
+    the whole effective down-set of its one high-degree class.  tables
+    is passed on to the block.
     """
-    m = len(divisors)
     memo = ToricMemo(G, config.toric_config()) if config.toric else None
-    rows = np.concatenate([divisors, canonical_divisor(G).as_array() - divisors])
-    keys = _class_keys_batch(G, rows)
-    _, first, inverse = np.unique(_row_keys(keys), return_index=True, return_inverse=True)
-    # per class: rank, toric rank, and whether the toric search read a
-    # trial-disagreeing verdict
-    sol = solve_classes(G, memo, rows[first], keys[first])[inverse].reshape(2, m, 3)
+    _, first, classes = np.unique(
+        _class_codes(G, divisors), return_index=True, return_inverse=True
+    )
+    reps = divisors[first]
+    c = len(reps)
+    # per class of D, then of K - D: rank, toric rank, and whether the
+    # toric search read a trial-disagreeing verdict
+    sol = solve_classes(G, memo, np.concatenate([reps, canonical_divisor(G).as_array() - reps]))
     toric = memo is not None
     return _CaseBlock(
         graph_id=graph_id,
         n=G.n,
         genus=genus(G),
-        degree=divisors.sum(axis=1),
         divisor=divisors,
-        rank=sol[0, :, 0],
-        rank_dual=sol[1, :, 0],
-        toric_rank=sol[0, :, 1] if toric else None,
-        toric_rank_dual=sol[1, :, 1] if toric else None,
-        disagreement=sol[0, :, 2] | sol[1, :, 2],
+        classes=classes,
+        tables=tables,
+        degree=reps.sum(axis=1),
+        rank=sol[:c, 0],
+        rank_dual=sol[c:, 0],
+        toric_rank=sol[:c, 1] if toric else None,
+        toric_rank_dual=sol[c:, 1] if toric else None,
+        disagreement=sol[:c, 2] | sol[c:, 2],
     )
 
 
@@ -769,9 +846,10 @@ def _graph_cases(graph_id: int, G: Multigraph, config: ExperimentConfig) -> _Cas
     deg_lo = 0 if config.degree_min is None else config.degree_min
     deg_hi = (g - 1) if config.degree_max is None else config.degree_max
     window = g if config.window is None else config.window
+    tables = tuple((d, window) for d in range(deg_lo, deg_hi + 1))
     rows = [np.empty((0, G.n), dtype=np.int64)]
-    rows += (_compositions_array(G.n, d, -window, d + window) for d in range(deg_lo, deg_hi + 1))
-    return _solve_cases(graph_id, G, config, np.concatenate(rows), _recurse_classes)
+    rows += (_window_table(G.n, d, window) for d, window in tables)
+    return _solve_cases(graph_id, G, config, np.concatenate(rows), _recurse_classes, tables)
 
 
 def _graph_worker(args: tuple[int, tuple, ExperimentConfig]) -> _CaseBlock:
@@ -802,8 +880,8 @@ def _assemble(
         for block in blocks:
             sink.start_graph(block.graph_id, graphs[block.graph_id])
             sink.cases(block, case_count)
-            failed = np.flatnonzero(~block.passed)
-            flagged = np.flatnonzero(block.anomalies)
+            failed = np.flatnonzero(~block.passed[block.classes])
+            flagged = np.flatnonzero(block.anomalies[block.classes])
             violation_count += len(failed)
             anomaly_count += len(flagged)
             violations += block.records(case_count, failed[: _REPRODUCER_CAP - len(violations)])
@@ -894,10 +972,7 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
         D = random_effective_divisor(
             n, g - 1, derive_seed(config.seed, "sweep-divisor", attempt - 1)
         )
-        blocks.append(
-            _solve_cases(
-                len(graphs), G, config, np.array([D.coeffs], dtype=np.int64), _scan_classes
-            )
-        )
+        rows = np.array([D.coeffs], dtype=np.int64)
+        blocks.append(_solve_cases(len(graphs), G, config, rows, _scan_classes))
         graphs.append(G)
     return _assemble(config, graphs, blocks, t0)

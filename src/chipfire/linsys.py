@@ -89,13 +89,14 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # Laplacian.  Diagonalizing L as U L V = S with unimodular U, V makes the
 # test cheap: y is in im(L) iff (U y)_i is divisible by S_ii (rows with
 # S_ii = 0 must vanish exactly).  The tuple of residues is a complete
-# invariant of the divisor class.  The experiment drivers group divisors
-# by it and solve each class once.  The exhaustive one also keys the
-# composition table of each degree once and groups its rows by key,
-# which lists every effective class of that degree with its linear
-# system; its rank recursion over classes finds the children c - e_v of
-# a class by keying those representatives here too, so key arithmetic
-# lives in this module alone.  The filter path of the member
+# invariant of the divisor class; ``_class_codes`` folds it and the
+# degree into one int64 per divisor.  The experiment drivers group
+# divisors by that code and solve each class once.  The exhaustive one
+# also codes the composition table of each degree once and groups its
+# rows by code, which lists every effective class of that degree with
+# its linear system; its rank recursion over classes finds the children
+# c - e_v of a class by coding those representatives here too, so key
+# arithmetic lives in this module alone.  The filter path of the member
 # enumeration reads |D| off the composition table the same way.  So a
 # graph is diagonalized at most once while its entry stays in the
 # cache.  Keys keep only the nontrivial invariant factors: rows with
@@ -208,6 +209,34 @@ def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
         keys = divisors.astype(object) @ U.T.astype(object)
     np.remainder(keys, moduli, out=keys, where=moduli != 0)
     return keys.astype(np.int64, copy=False)
+
+
+def _class_codes(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
+    """One class code per row of an (m, n) array of divisors; two rows of
+    one batch get equal codes iff they are equivalent.
+
+    The code is an int64: the key row read in mixed radix, its residues
+    over the nonzero moduli first, whose product kappa(G) is the number
+    of spanning trees (Kirchhoff), and the degree as the top digit.  On a
+    connected graph the key entry at the zero modulus is +-degree, as
+    its row of U is +-(1, ..., 1).  Where kappa(G) times (the largest
+    |degree| + 1) passes 2^63 the codes are the key rows themselves, as
+    opaque void values (``_row_keys``).  Both kinds sort, compare and
+    hash, so np.unique and dicts group by them; codes of two batches
+    compare only when both are of one kind, as batches of one degree
+    always are.
+    """
+    keys = _class_keys_batch(G, divisors)
+    rows, moduli = _class_data(G)
+    weights, kappa = [], 1
+    for s in moduli.tolist():
+        weights.append(kappa if s else 0)
+        kappa *= s or 1
+    (top,) = np.flatnonzero(moduli == 0)
+    weights[top] = kappa * int(rows[top, 0])  # +-1, so the digit is the degree
+    if kappa * (int(np.abs(keys[:, top]).max(initial=0)) + 1) >= 1 << 63:
+        return _row_keys(keys)
+    return keys @ np.array(weights, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

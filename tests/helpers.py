@@ -7,6 +7,7 @@ library is evidence and not circularity.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 from functools import lru_cache
@@ -332,3 +333,17 @@ def graph_and_divisor(draw):
         if coeffs[v] == 0:
             coeffs[v] = -draw(st.integers(0, 1))
     return cf.Multigraph.from_adjacency(adj), tuple(coeffs)
+
+
+def flag_verdicts(monkeypatch, flagged):
+    """Make toric_effective_test report a trial disagreement on every
+    (graph, coefficients) pair for which flagged(G, coeffs) holds."""
+    real = cf.toric.toric_effective_test
+
+    def flagging(G, d, config=None):
+        out = real(G, d, config)
+        if flagged(G, tuple(d.coeffs)):
+            out = dataclasses.replace(out, trial_disagreement=True)
+        return out
+
+    monkeypatch.setattr(cf.toric, "toric_effective_test", flagging)

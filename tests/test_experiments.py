@@ -22,7 +22,12 @@ from chipfire import (
 )
 from chipfire import experiments, linsys
 
-from .helpers import canonical_adjacency, connected_multigraphs_up_to_iso, graph_and_divisor
+from .helpers import (
+    canonical_adjacency,
+    connected_multigraphs_up_to_iso,
+    flag_verdicts,
+    graph_and_divisor,
+)
 
 
 def test_config_validation_branches():
@@ -350,25 +355,11 @@ def test_run_random_sweep_zero_cases():
     assert report.graphs == ()
 
 
-def _flag_verdicts(monkeypatch, flagged):
-    """Make toric_effective_test report a trial disagreement on every
-    (graph, coefficients) pair for which flagged(G, coeffs) holds."""
-    real = cf.toric.toric_effective_test
-
-    def flagging(G, d, config=None):
-        out = real(G, d, config)
-        if flagged(G, tuple(d.coeffs)):
-            out = dataclasses.replace(out, trial_disagreement=True)
-        return out
-
-    monkeypatch.setattr(cf.toric, "toric_effective_test", flagging)
-
-
 def test_trial_disagreement_tags_every_case_of_affected_classes(monkeypatch):
     cfg = _tiny_exhaustive(genus_min=2, genus_max=2)
     (G,) = enumerate_treeless_graphs(4, (2, 2), max_multiplicity=1)
     zero = (0,) * G.n
-    _flag_verdicts(monkeypatch, lambda H, coeffs: H == G and coeffs == zero)
+    flag_verdicts(monkeypatch, lambda H, coeffs: H == G and coeffs == zero)
     report = run_exhaustive(cfg)
 
     # Oracle, one case at a time with no class cache: a case is affected
@@ -399,7 +390,7 @@ def test_trial_disagreement_tags_classes_whose_recursion_reads_it(monkeypatch):
     # -1, and the toric recursion of a class C decides T on the zero class
     # iff T(C) holds and C - e_v ~ 0 for some v.
     cfg = _tiny_exhaustive(genus_max=2, degree_min=1, degree_max=1, window=1)
-    _flag_verdicts(monkeypatch, lambda H, coeffs: not any(coeffs))
+    flag_verdicts(monkeypatch, lambda H, coeffs: not any(coeffs))
     report = run_exhaustive(cfg)
     tcfg = cfg.toric_config()
 
@@ -421,7 +412,7 @@ def test_trial_disagreement_tags_classes_whose_recursion_reads_it(monkeypatch):
 def test_random_sweep_tags_trial_disagreements(monkeypatch):
     cfg = ExperimentConfig(mode="random-sweep", cases=2, min_genus=2, n_min=4, n_max=4, seed=5)
     assert run_random_sweep(cfg).anomaly_count == 0
-    _flag_verdicts(monkeypatch, lambda H, coeffs: True)
+    flag_verdicts(monkeypatch, lambda H, coeffs: True)
     report = run_random_sweep(cfg)
     assert report.anomaly_count == 2
     assert all(rec.anomalies == ("trial-disagreement",) for rec in report.cases)
@@ -463,8 +454,7 @@ def _every_class(G, d):
 
 
 def _assert_recursion_matches_scans(G, reps, memo):
-    keys = linsys._class_keys_batch(G, reps)
-    got = experiments._recurse_classes(G, memo, reps, keys)[:, :2].tolist()
+    got = experiments._recurse_classes(G, memo, reps)[:, :2].tolist()
     cfg = memo.config
     want = [
         [cf.rank(G, Divisor(tuple(r))).rank, cf.toric_rank(G, Divisor(tuple(r)), cfg, memo).rank]
@@ -539,9 +529,24 @@ def test_exhaustive_sweep_keys_each_degree_table_once(monkeypatch):
     monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_rank_scan", no_scan)
     monkeypatch.setattr(cf.toric, "_rank_scan", no_scan)
     monkeypatch.setattr(linsys, "_class_keys_batch", recording)
-    monkeypatch.setattr(experiments, "_class_keys_batch", recording)
     linsys._members.cache_clear()
     report = run_exhaustive(_tiny_exhaustive(genus_max=2, max_multiplicity=2))
     assert report.violation_count == 0 and report.summary["toric"]
     assert len(keyed) > 10
     assert len(set(keyed)) == len(keyed)
+
+
+def test_exhaustive_sweep_groups_by_key_rows_past_the_int64_bound(monkeypatch, tmp_path):
+    # graphs whose kappa(G) times the degree passes 2^63 group by void key
+    # rows; forcing that path everywhere must leave the report unchanged
+    cfg = _tiny_exhaustive(genus_max=3, max_multiplicity=2)
+    paths = [tmp_path / "codes.csv", tmp_path / "keys.csv"]
+    run_exhaustive(dataclasses.replace(cfg, output_path=str(paths[0]), output_format="csv"))
+    monkeypatch.setattr(
+        experiments,
+        "_class_codes",
+        lambda G, rows: linsys._row_keys(linsys._class_keys_batch(G, rows)),
+    )
+    report = run_exhaustive(dataclasses.replace(cfg, output_path=str(paths[1]), output_format="csv"))
+    assert report.case_count > 1000 and report.violation_count == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -172,6 +172,63 @@ def test_class_keys_past_40_bit_factors(seed, factors):
     assert keys.tolist() == [exact, exact]
 
 
+def _groups(labels):
+    """The first row of each row's group, grouping rows by equal labels."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _assert_codes_group_like_keys(G, rows):
+    codes = linsys._class_codes(G, rows)
+    keys = linsys._row_keys(linsys._class_keys_batch(G, rows))
+    assert (_groups(codes) == _groups(keys)).all()
+    return codes
+
+
+def _shifted_rows(G, coeffs):
+    """coeffs, divisors equivalent to it, divisors of its degree that
+    mostly are not, its dual, and rows of other degrees."""
+    n = G.n
+    D = np.array(coeffs, dtype=np.int64)
+    L = cf.laplacian(G)
+    eye = np.eye(n, dtype=np.int64)
+    return np.vstack(
+        [
+            D,
+            D + L @ eye,  # one borrowing at each vertex
+            D - 2 * (L @ eye),
+            D + eye - eye[0],
+            cf.canonical_divisor(G).as_array() - D,
+            D + eye,
+            -D,
+        ]
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph_and_divisor())
+def test_class_codes_group_like_class_keys(case):
+    G, coeffs = case
+    codes = _assert_codes_group_like_keys(G, _shifted_rows(G, coeffs))
+    assert codes.dtype == np.int64
+
+
+def test_class_codes_fall_back_to_key_rows_past_the_int64_bound():
+    # kappa(K_20) = 20^18 > 2^63: every batch is grouped by its key rows
+    G = cf.complete_graph(20)
+    assert linsys._class_data(G)[1].tolist() == [20] * 18 + [0]
+    rows = _shifted_rows(G, (2, -1) + (0,) * 17 + (1,))
+    assert linsys._class_codes(G, rows).dtype.kind == "V"
+    _assert_codes_group_like_keys(G, rows)
+    # kappa = 2 * 3,588,816,650,934 here: small degrees get int64 codes,
+    # degree 10^7 passes the bound
+    H = cf.random_connected_graph(16, 3)
+    small = _shifted_rows(H, (3, 0, 1, 2) * 4)
+    assert _assert_codes_group_like_keys(H, small).dtype == np.int64
+    big = small + np.eye(16, dtype=np.int64)[0] * 10**7
+    assert _assert_codes_group_like_keys(H, big).dtype.kind == "V"
+
+
 def test_is_effective_equivalent():
     G = cf.cycle_graph(4)
     assert is_effective_equivalent(G, (1, -1, 1, 0))
