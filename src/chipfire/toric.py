@@ -20,26 +20,32 @@ All randomness is position-addressed from explicit integer seeds, so
 identical inputs give identical outcomes regardless of evaluation order.
 
 Field elements are plain Python ints: products near p^2 ~ 1e20 exceed
-64-bit range, so no field arithmetic here goes through numpy.  Every
-kernel comes from one row reduction, _eliminate.  Its forward pass
-reduces the pivot row and each elimination factor modulo p but leaves
-the rows it updates unreduced (delayed modular reduction, as in
-Dumas-Giorgi-Pernet's FFLAS-FFPACK), so their entries stay below
-rows * p^2; back-substitution then runs over the free columns only.
-kernel_basis, matrix_rank and the verdicts of both toric modes read its
-output, so a trial builds no kernel vectors: block projection reads
-which columns the kernel reaches, and random-vector combines its draws
-with the reduced rows directly.  The prime is checked once, where it
-enters (ToricConfig and the two public matrix builders); the per-trial
-matrices of toric_effective_test run no primality test.
+64-bit range, so no field arithmetic here goes through numpy.  A trial
+of toric_effective_test costs its blake2b entries and one elimination:
+_fill writes each row as a list straight from the block spans of its
+edge's two endpoints, and _eliminate reduces those lists in place, so
+no NodeConstraintMatrix is built per trial (the public builders return
+one, and kernel_basis and matrix_rank hand _eliminate fresh lists of its
+entries).  The forward pass of _eliminate reduces the pivot row and
+each elimination factor modulo p but leaves the rows it updates
+unreduced (delayed modular reduction, as in Dumas-Giorgi-Pernet's
+FFLAS-FFPACK), so their entries stay below rows * p^2, and it stops
+each update at the pivot row's last nonzero entry; back-substitution
+then gives the kernel basis at the pivot columns, one vector per free
+column, and both toric modes read their verdicts off it.  The
+(config.seed, G.adj) prefix of every sample seed and G's edge list come
+from a small bounded cache per graph and seed.  The prime is checked
+once, where it enters (ToricConfig and the two public matrix builders);
+the per-trial matrices of toric_effective_test run no primality test.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
+from operator import mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -231,43 +237,38 @@ def _block_spans(d: Divisor) -> tuple[tuple[int, int], ...]:
 
 
 def _fill(
-    mask_rows: Sequence[Sequence[int]], rng_seed: int, prime: int, nonzero_entries: bool
-) -> tuple[tuple[int, ...], ...]:
-    """Generic field elements at the positions flagged 1, entry (r, c)
-    addressed by (rng_seed, r, c); zeros elsewhere.
+    row_runs: Sequence[Sequence[tuple[int, int]]], ncols: int, seed: int, prime: int, nonzero: bool
+) -> list[list[int]]:
+    """Fresh rows of ncols entries: generic field elements in the column
+    ranges [lo, hi) that row_runs lists for each row, entry (r, c)
+    addressed by (seed, r, c), and zeros elsewhere.
 
-    Hashes the same bytes as _field_element(rng_seed, r, c): each row
-    joins its prefix "rng_seed:r:" to column suffixes built once, and
-    only the flagged columns are visited.
+    Hashes the same bytes as _field_element(seed, r, c): a blake2b
+    state fed "seed:" is copied and fed "r:" once per row, and that
+    state is copied and fed "c" once per entry, so an entry costs one
+    copy, one update and one digest.
     """
-    ncols = len(mask_rows[0]) if len(mask_rows) else 0
     suffixes = [b"%d" % c for c in range(ncols)]
-    head = str(rng_seed).encode() + b":"
-    modulus, offset = (prime - 1, 1) if nonzero_entries else (prime, 0)
+    head = hashlib.blake2b(str(seed).encode() + b":", digest_size=16)
+    modulus, offset = (prime - 1, 1) if nonzero else (prime, 0)
     rows = []
-    for r, mask in enumerate(mask_rows):
-        prefix = head + b"%d:" % r
+    for r, runs in enumerate(row_runs):
+        base = head.copy()
+        base.update(b"%d:" % r)
         row = [0] * ncols
-        for c in compress(range(ncols), mask):
-            digest = hashlib.blake2b(prefix + suffixes[c], digest_size=16).digest()
-            row[c] = offset + int.from_bytes(digest, "big") % modulus
-        rows.append(tuple(row))
-    return tuple(rows)
+        for lo, hi in runs:
+            for c in range(lo, hi):
+                h = base.copy()
+                h.update(suffixes[c])
+                row[c] = offset + int.from_bytes(h.digest(), "big") % modulus
+        rows.append(row)
+    return rows
 
 
-def _pattern(G: Multigraph, d: Divisor) -> tuple[list[list[int]], tuple[tuple[int, int], ...]]:
-    """Mask rows and block spans of d's constraint matrix: row r flags
-    the two endpoint blocks of edge r in canonical order.  d must be
-    effective."""
-    spans = _block_spans(d)
-    ncols = spans[-1][1]
-    mask = []
-    for i, j in G.edges():
-        row = [0] * ncols
-        for lo, hi in (spans[i], spans[j]):
-            row[lo:hi] = [1] * (hi - lo)
-        mask.append(row)
-    return mask, spans
+def _is_flag(x: object) -> bool:
+    """x is the integer 0 or 1 (numpy integers included); True, np.True_
+    and 1.0 are not, as Multigraph and Divisor reject bools and floats."""
+    return type(x) is not bool and isinstance(x, (int, np.integer)) and x in (0, 1)
 
 
 def build_constraint_matrix(
@@ -289,8 +290,10 @@ def build_constraint_matrix(
     if not d.is_effective():
         raise NonEffectiveDivisorError(f"divisor {d.coeffs} has a negative coefficient")
     _check_prime(prime)
-    mask, spans = _pattern(G, d)
-    return NodeConstraintMatrix(_fill(mask, rng_seed, prime, nonzero_entries), prime, spans)
+    spans = _block_spans(d)
+    runs = [(spans[i], spans[j]) for i, j in G.edges()]
+    rows = _fill(runs, spans[-1][1], rng_seed, prime, nonzero_entries)
+    return NodeConstraintMatrix(tuple(map(tuple, rows)), prime, spans)
 
 
 def constraint_matrix_from_pattern(
@@ -310,7 +313,7 @@ def constraint_matrix_from_pattern(
     """
     _check_prime(prime)
     ncols = len(mask_rows[0]) if len(mask_rows) else 0
-    if ncols == 0 or any(len(r) != ncols or not set(r) <= {0, 1} for r in mask_rows):
+    if ncols == 0 or any(len(r) != ncols or not all(map(_is_flag, r)) for r in mask_rows):
         raise ValueError("mask must be a nonempty rectangle of 0/1 flags")
     if block_spans is None:
         block_spans = [(c, c + 1) for c in range(ncols)]
@@ -320,24 +323,30 @@ def constraint_matrix_from_pattern(
         lo >= hi for lo, hi in spans
     ):
         raise ValueError(f"block spans {spans} do not tile {ncols} columns")
-    return NodeConstraintMatrix(_fill(mask_rows, rng_seed, prime, nonzero_entries), prime, spans)
+    runs = [[(c, c + 1) for c in compress(range(ncols), r)] for r in mask_rows]
+    rows = _fill(runs, ncols, rng_seed, prime, nonzero_entries)
+    return NodeConstraintMatrix(tuple(map(tuple, rows)), prime, spans)
 
 
-def _eliminate(M: NodeConstraintMatrix) -> tuple[list[int], list[int], list[list[int]]]:
-    """Row reduction of M over F_p as (pivots, free, red): the pivot and
-    free columns in ascending order, and red[k], the entries of reduced
-    row k in the free columns, in [0, p).
+def _eliminate(
+    rows: list[list[int]], ncols: int, p: int
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Row reduction over F_p of the matrix whose rows, ncols entries in
+    [0, p) each, are the lists in rows, as (pivots, free, ker): the pivot
+    and free columns in ascending order, and ker[j], in [0, p), the
+    entries at the pivot columns of the kernel vector that holds 1 at
+    free[j] and 0 at the other free columns.
 
-    The forward pass touches only the rows below a pivot and the columns
-    right of it.  The pivot row is normalized and reduced, and so is each
-    factor row[c] % p; the rows it updates are not, so entries that
-    start in [0, p) stay below n_rows * p^2 in absolute value.
-    Back-substitution then runs over the free columns alone; a free
-    column left of pivot k holds 0 in reduced row k.
+    Works in place: rows and the lists in it are reordered and
+    overwritten, so callers hand it fresh lists.  The forward pass
+    touches only the rows below a pivot and the columns right of it, up
+    to the last nonzero entry of the pivot row.  The pivot row is
+    normalized and reduced, and so is each factor row[c] % p; the rows
+    it updates are not, so their entries stay below len(rows) * p^2 in
+    absolute value.  Back-substitution then solves for one kernel vector
+    per free column, pivot by pivot from the last; a free column left of
+    pivot k holds 0 in reduced row k.
     """
-    p = M.modulus
-    ncols = M.n_cols
-    rows = [list(r) for r in M.entries]
     pivots: list[int] = []
     free: list[int] = []
     for c in range(ncols):
@@ -345,29 +354,32 @@ def _eliminate(M: NodeConstraintMatrix) -> tuple[list[int], list[int], list[list
         if r == len(rows):
             free.extend(range(c, ncols))
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pr is None:
+        for i in range(r, len(rows)):
+            if rows[i][c] % p:
+                break
+        else:
             free.append(c)
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        tail = [x * inv % p for x in rows[r][c + 1 :]]
-        rows[r][c + 1 :] = tail
+        rows[r], rows[i] = rows[i], rows[r]
+        piv, end = rows[r], ncols
+        while not piv[end - 1]:
+            end -= 1
+        inv = pow(piv[c], -1, p)
+        piv[c + 1 : end] = tail = [x * inv % p for x in piv[c + 1 : end]]
         for row in rows[r + 1 :]:
             f = row[c] % p
             if f:
-                row[c + 1 :] = [x - f * y for x, y in zip(row[c + 1 :], tail)]
+                row[c + 1 : end] = map(sub, row[c + 1 : end], map(f.__mul__, tail))
         pivots.append(c)
-    red: list[list[int]] = [[]] * len(pivots)
-    for k in range(len(pivots) - 1, -1, -1):
-        row = rows[k]
-        acc = [row[fc] if fc > pivots[k] else 0 for fc in free]
-        for pc, below in zip(pivots[k + 1 :], red[k + 1 :]):
-            u = row[pc]
-            if u:
-                acc = [a - u * b for a, b in zip(acc, below)]
-        red[k] = [a % p for a in acc]
-    return pivots, free, red
+    ker = []
+    for fc in free:
+        v = [0] * len(pivots)
+        for k in range(len(pivots) - 1, -1, -1):
+            row = rows[k]
+            later = sum(map(mul, map(row.__getitem__, pivots[k + 1 :]), v[k + 1 :]))
+            v[k] = -(later + (row[fc] if fc > pivots[k] else 0)) % p
+        ker.append(v)
+    return pivots, free, ker
 
 
 def kernel_basis(M: NodeConstraintMatrix) -> list[tuple[int, ...]]:
@@ -375,24 +387,22 @@ def kernel_basis(M: NodeConstraintMatrix) -> list[tuple[int, ...]]:
 
     One basis vector per free column of the reduced row echelon form,
     with a 1 in its free position and minus the reduced rows' entries in
-    that column at the pivot positions.  The form comes from _eliminate:
-    a forward pass with delayed modular reduction, then back-substitution
-    over the free columns only.  Empty list iff M has full column rank.
+    that column at the pivot positions, as _eliminate gives it.  Empty
+    list iff M has full column rank.
     """
-    p = M.modulus
-    pivots, free, red = _eliminate(M)
+    pivots, free, ker = _eliminate([list(r) for r in M.entries], M.n_cols, M.modulus)
     basis = []
-    for j, fc in enumerate(free):
+    for fc, at_pivots in zip(free, ker):
         v = [0] * M.n_cols
         v[fc] = 1
-        for pc, row in zip(pivots, red):
-            v[pc] = -row[j] % p
+        for pc, x in zip(pivots, at_pivots):
+            v[pc] = x
         basis.append(tuple(v))
     return basis
 
 
 def matrix_rank(M: NodeConstraintMatrix) -> int:
-    return M.n_cols - len(_eliminate(M)[1])
+    return M.n_cols - len(_eliminate([list(r) for r in M.entries], M.n_cols, M.modulus)[1])
 
 
 @dataclass(frozen=True)
@@ -414,30 +424,40 @@ class ToricOutcome:
 
 
 def _single_trial(
-    M: NodeConstraintMatrix, sample_seed: int, config: ToricConfig
+    rows: list[list[int]], spans: tuple[tuple[int, int], ...], sample_seed: int, config: ToricConfig
 ) -> tuple[bool, int, tuple[bool, ...]]:
-    """(passed, kernel_dim, per_block_support) of one matrix sample."""
-    pivots, free, red = _eliminate(M)
+    """(passed, kernel_dim, per_block_support) of one matrix sample: its
+    fresh rows, eliminated in place, and its column blocks."""
+    ncols = spans[-1][1]
+    pivots, free, ker = _eliminate(rows, ncols, config.prime)
     kdim = len(free)
     if config.mode == "block-projection":
         # some basis vector is nonzero at column c iff c is free, or c is
-        # pivot k and reduced row k has a nonzero free entry
-        nonzero = [True] * M.n_cols
-        for pc, row in zip(pivots, red):
-            nonzero[pc] = any(row)
-        support = tuple(any(nonzero[lo:hi]) for lo, hi in M.block_spans)
+        # a pivot where some basis vector holds a nonzero
+        nonzero = [True] * ncols
+        for pc, *at_pc in zip(pivots, *ker):
+            nonzero[pc] = any(at_pc)
+        support = tuple(any(nonzero[lo:hi]) for lo, hi in spans)
         return kdim >= 1 and all(support), kdim, support
-    # the kernel vector with weight w_j at free column j holds minus the
-    # weighted reduced row k at pivot k
+    # the kernel vector with weight w_j at free column j: the w-weighted
+    # sum of the basis vectors
     p = config.prime
     weights = [_field_element(sample_seed, "draw", j, p=p) for j in range(kdim)]
-    vec = [0] * M.n_cols
+    vec = [0] * ncols
     for fc, w in zip(free, weights):
         vec[fc] = w
-    for pc, row in zip(pivots, red):
-        vec[pc] = -sum(a * b for a, b in zip(weights, row)) % p
-    support = tuple(all(vec[lo:hi]) for lo, hi in M.block_spans)
+    for pc, *at_pc in zip(pivots, *ker):
+        vec[pc] = sum(map(mul, weights, at_pc)) % p
+    support = tuple(all(vec[lo:hi]) for lo, hi in spans)
     return all(support), kdim, support
+
+
+@lru_cache(maxsize=8)
+def _graph_trials(G: Multigraph, seed: int) -> tuple[hashlib.blake2b, tuple[tuple[int, int], ...]]:
+    """The derive_seed hasher fed (seed, G.adj), which callers copy and
+    never update, and G's canonical edges.  The bound keeps the few
+    graphs a sweep or a rank alternates between."""
+    return _feed(hashlib.blake2b(digest_size=8), seed, G.adj), G.edges()
 
 
 def toric_effective_test(
@@ -454,16 +474,17 @@ def toric_effective_test(
     d = _coerce_divisor(d, G.n)
     if not d.is_effective():
         raise NonEffectiveDivisorError(f"divisor {d.coeffs} has a negative coefficient")
-    mask, spans = _pattern(G, d)
+    prefix, edges = _graph_trials(G, config.seed)
     # derive_seed(config.seed, G.adj, d.coeffs, trial), hashing the
-    # shared prefix once per test
-    shared = _feed(hashlib.blake2b(digest_size=8), config.seed, G.adj, d.coeffs)
+    # (config.seed, G.adj) prefix once per graph and d.coeffs once per test
+    shared = _feed(prefix.copy(), d.coeffs)
+    spans = _block_spans(d)
+    runs = [(spans[i], spans[j]) for i, j in edges]
     trials = []
     for trial in range(config.trials):
         sample_seed = int.from_bytes(_feed(shared.copy(), trial).digest(), "big")
-        entries = _fill(mask, sample_seed, config.prime, config.nonzero_entries)
-        M = NodeConstraintMatrix(entries, config.prime, spans)
-        trials.append((*_single_trial(M, sample_seed, config), sample_seed))
+        rows = _fill(runs, spans[-1][1], sample_seed, config.prime, config.nonzero_entries)
+        trials.append((*_single_trial(rows, spans, sample_seed, config), sample_seed))
     passes = sum(t[0] for t in trials)
     majority = passes * 2 > config.trials
     _, kdim, support, sample_seed = next(t for t in trials if t[0] == majority)

@@ -59,16 +59,9 @@ def connected_multigraphs_up_to_iso(max_n: int, max_mult: int) -> list[cf.Multig
     return out
 
 
-@lru_cache(maxsize=8)
-def trees_up_to_iso(n: int) -> tuple[cf.Multigraph, ...]:
-    """All trees on n vertices up to isomorphism, decoded from Pruefer
-    sequences and deduplicated by canonical form.  Cached: the catalog
-    for n = 6 takes seconds and several tests read it."""
-    if n == 1:
-        return (cf.Multigraph.from_adjacency([[0]]),)
-    if n == 2:
-        return (cf.path_graph(2),)
-    seen, out = set(), []
+def pruefer_trees(n: int):
+    """Adjacency matrix of the labelled tree of each Pruefer sequence on
+    n >= 3 vertices, in the order of itertools.product."""
     for seq in itertools.product(range(n), repeat=n - 2):
         deg = [1] * n
         for v in seq:
@@ -84,10 +77,50 @@ def trees_up_to_iso(n: int) -> tuple[cf.Multigraph, ...]:
                 heapq.heappush(leaves, v)
         u, w = heapq.heappop(leaves), heapq.heappop(leaves)
         adj[u][w] = adj[w][u] = 1
-        canon = canonical_adjacency(adj)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(cf.Multigraph(canon))
+        yield adj
+
+
+def tree_code(adj) -> str:
+    """AHU code of a tree rooted at its centre, the smaller of the two
+    codes when there are two centres (Aho, Hopcroft and Ullman 1974).
+    Two trees get the same code iff they are isomorphic."""
+    n = len(adj)
+    nbrs = [[j for j in range(n) if adj[i][j]] for i in range(n)]
+    deg = [len(vs) for vs in nbrs]
+    layer, left = [v for v in range(n) if deg[v] <= 1], n
+    while left > 2:  # peel the leaves until the centre is left
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in nbrs[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in nbrs[v] if w != parent)) + ")"
+
+    return min(code(c, -1) for c in layer)
+
+
+@lru_cache(maxsize=8)
+def trees_up_to_iso(n: int) -> tuple[cf.Multigraph, ...]:
+    """All trees on n vertices up to isomorphism, decoded from Pruefer
+    sequences.  Each class is represented by the canonical form
+    (canonical_adjacency) of its first tree in Pruefer order; trees are
+    grouped by tree_code, so the brute-force form is built once per
+    class.  Cached: several tests read the catalog."""
+    if n == 1:
+        return (cf.Multigraph.from_adjacency([[0]]),)
+    if n == 2:
+        return (cf.path_graph(2),)
+    seen, out = set(), []
+    for adj in pruefer_trees(n):
+        code = tree_code(adj)
+        if code not in seen:
+            seen.add(code)
+            out.append(cf.Multigraph(canonical_adjacency(adj)))
     return tuple(out)
 
 

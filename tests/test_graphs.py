@@ -7,6 +7,8 @@ import pytest
 import chipfire as cf
 from chipfire import Divisor, InvalidGraphError, Multigraph, PlacementError, PointPlacement
 
+from .helpers import canonical_adjacency, pruefer_trees, trees_up_to_iso
+
 
 def test_divisor_arithmetic():
     a = Divisor((1, -2, 3))
@@ -208,3 +210,18 @@ def test_adjacency_array_is_writable_copy():
     arr = G.adjacency_array()
     arr[0][1] = 99
     assert G.adj[0][1] == 1
+
+
+def test_tree_catalog_counts_and_brute_force_dedupe():
+    # unlabelled trees on 1..7 vertices (OEIS A000055)
+    assert [len(trees_up_to_iso(n)) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    # deduplicating every Pruefer tree by its brute-force canonical form
+    # keeps the same representatives in the same order
+    for n in range(3, 6):
+        seen, brute = set(), []
+        for adj in pruefer_trees(n):
+            canon = canonical_adjacency(adj)
+            if canon not in seen:
+                seen.add(canon)
+                brute.append(cf.Multigraph(canon))
+        assert trees_up_to_iso(n) == tuple(brute)

@@ -27,6 +27,7 @@ from chipfire import (
     toric_rank,
     verify_rr_toric,
 )
+from chipfire.toric import _field_element
 
 from .helpers import (
     brute_toric_rank,
@@ -102,12 +103,52 @@ def test_trial_seeds_are_derive_seed_of_each_trial(monkeypatch):
     seen = []
     real_trial = toric._single_trial
     monkeypatch.setattr(
-        toric, "_single_trial", lambda M, seed, cfg: seen.append(seed) or real_trial(M, seed, cfg)
+        toric,
+        "_single_trial",
+        lambda rows, spans, seed, cfg: seen.append(seed) or real_trial(rows, spans, seed, cfg),
     )
     G, d = cf.complete_graph(4), (2, 0, 1, 0)
     out = toric_effective_test(G, d, ToricConfig(seed=17, trials=4))
     assert seen == [derive_seed(17, G.adj, d, t) for t in range(4)]
     assert out.sample_seed in seen
+
+
+def test_per_graph_cache_is_independent_of_config_and_order():
+    cache = cf.toric._graph_trials
+    G = cf.complete_graph(4)
+    base = ToricConfig()
+    configs = [
+        base,
+        replace(base, seed=5),
+        replace(base, prime=7),
+        replace(base, mode="random-vector"),
+        replace(base, trials=2),
+        replace(base, nonzero_entries=True),
+    ]
+    divisors = [(1, 0, 2, 0), (0, 0, 0, 0), (2, 1, 0, 1), (0, 0, 1, 0)]
+
+    def outcomes(order, graph=G):
+        return {i: [toric_effective_test(graph, d, configs[i]) for d in divisors] for i in order}
+
+    cache.cache_clear()
+    forward = outcomes(range(len(configs)))
+    backward = outcomes(reversed(range(len(configs))))
+    cold = {}
+    for i in range(len(configs)):
+        cache.cache_clear()
+        cold.update(outcomes([i]))
+    assert forward == backward == cold
+    # an equal graph built anew reads the same outcomes
+    assert outcomes(range(len(configs)), cf.Multigraph(G.adj)) == forward
+    for i, cfg in enumerate(configs):
+        for d, o in zip(divisors, forward[i]):
+            assert o.sample_seed in {derive_seed(cfg.seed, G.adj, d, t) for t in range(cfg.trials)}
+    # more graphs than the cache holds: it stays within its bound
+    maxsize = cache.cache_info().maxsize
+    for k in range(3, 3 + 2 * maxsize):
+        toric_effective_test(cf.cycle_graph(k), (1,) + (0,) * (k - 1))
+    assert cache.cache_info().currsize == maxsize
+    assert outcomes(range(len(configs))) == forward
 
 
 def test_toric_config_validation():
@@ -209,6 +250,45 @@ def test_generic_matrices_are_pinned(G, coeffs, digest):
     assert h.hexdigest() == digest
 
 
+def _oracle_entries(mask, seed, prime, nonzero):
+    """The entries a generic matrix with this 0/1 mask must hold, each
+    read off _field_element on its own."""
+    return tuple(
+        tuple(
+            _field_element(seed, r, c, p=prime, nonzero=nonzero) if flag else 0
+            for c, flag in enumerate(row)
+        )
+        for r, row in enumerate(mask)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols), min_size=1, max_size=6
+        )
+    ),
+    graph_and_divisor(),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([5, 7, DEFAULT_PRIME]),
+    st.booleans(),
+)
+def test_fill_matches_the_field_element_oracle(mask, case, seed, prime, nonzero):
+    M = constraint_matrix_from_pattern(mask, seed, prime=prime, nonzero_entries=nonzero)
+    assert M.entries == _oracle_entries(mask, seed, prime, nonzero)
+    # the divisor's matrix flags the two endpoint blocks of each edge
+    G, coeffs = case
+    d = [max(c, 0) for c in coeffs]
+    starts = [sum(d[:v]) + v for v in range(G.n + 1)]
+    blocks = [range(starts[v], starts[v + 1]) for v in range(G.n)]
+    graph_mask = [
+        [int(c in blocks[i] or c in blocks[j]) for c in range(starts[-1])] for i, j in G.edges()
+    ]
+    M = build_constraint_matrix(G, d, seed, prime=prime, nonzero_entries=nonzero)
+    assert M.entries == _oracle_entries(graph_mask, seed, prime, nonzero)
+
+
 def test_star_pattern_reconstruction():
     M = build_constraint_matrix(STAR_GRAPH, STAR_DIVISOR, rng_seed=7)
     mask = tuple(tuple(int(bool(x)) for x in row) for row in M.entries)
@@ -239,9 +319,21 @@ def test_pattern_matrix_validation_and_default_spans():
         ([(1, 1)], [(0, 1)]),
         ([(1, 1)], [(0, 1), (0, 2)]),
         ([(1, 1)], [(0, 0), (0, 2)]),
+        # a flag is the integer 0 or 1, not a bool or a float
+        ([(True, False, 1.0)], None),
+        ([(True, 0)], None),
+        ([(1, False)], None),
+        ([(np.True_, 0)], None),
+        ([(1.0, 0)], None),
+        ([(1, 0), (0, 0.0)], None),
     ):
         with pytest.raises(ValueError):
             constraint_matrix_from_pattern(mask, rng_seed=0, block_spans=spans)
+    with pytest.raises(ValueError):
+        constraint_matrix_from_pattern([(True, False, 1.0)], 0, prime=7)
+    # numpy integers are integers, as in Multigraph and Divisor
+    M = constraint_matrix_from_pattern([tuple(np.array([1, 0, 1]))], rng_seed=3)
+    assert M.entries == constraint_matrix_from_pattern([(1, 0, 1)], rng_seed=3).entries
     assert constraint_matrix_from_pattern([(1, 1)], 0, block_spans=[[0, 2]]).block_spans == ((0, 2),)
     M = constraint_matrix_from_pattern([(1, 1, 0)], rng_seed=0)
     assert M.block_spans == ((0, 1), (1, 2), (2, 3))
