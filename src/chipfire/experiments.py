@@ -32,12 +32,7 @@ from .graphs import (
     canonical_divisor,
     genus,
 )
-from .linsys import (
-    _ELEMENT_BUDGET,
-    _class_codes,
-    _compositions_array,
-    _members,
-)
+from .linsys import _class_codes, _class_members, _compositions_array
 from .rank import rank
 from .toric import (
     ToricConfig,
@@ -354,7 +349,8 @@ class _CaseBlock:
     one entry per class.  Toric columns are None when the toric check is
     off.  disagreement is nonzero on the classes where the toric rank
     search of D or of K - D read a trial-disagreeing verdict.  Residuals,
-    passed and the anomaly bit sets are derived from these columns.  tables lists the (degree, window) of the window tables
+    passed and the anomaly bit sets are derived from these columns.
+    tables lists the (degree, window) of the window tables
     (_window_table) whose rows, in order, are divisor; None when the
     divisors were drawn one by one.
     """
@@ -692,21 +688,6 @@ def _scan_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) -> np
     return per_class
 
 
-def _degree_classes(G: Multigraph, k: int) -> dict | None:
-    """|c| of every effective class c of degree k >= 0, keyed by its class
-    code (``_class_codes``), from one coding of the composition table;
-    each |c| in lexicographic order.  None when the table passes the
-    element budget."""
-    if comb(k + G.n - 1, G.n - 1) * G.n > _ELEMENT_BUDGET:
-        return None
-    comps = _compositions_array(G.n, k)
-    codes = _class_codes(G, comps)
-    order = np.argsort(codes, kind="stable")
-    codes, comps = codes[order], comps[order]
-    bounds = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1], [True]])).tolist()
-    return {c: comps[a:b] for c, a, b in zip(codes[bounds[:-1]].tolist(), bounds, bounds[1:])}
-
-
 def _recurse_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) -> np.ndarray:
     """Rank, toric rank and trial-disagreement bit of the class of each
     row of reps, all solved as one recursion over classes (Baker-Norine):
@@ -723,10 +704,9 @@ def _recurse_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) ->
     the given rows of that degree and the children c - e_v of the
     effective classes one degree up are grouped by class code, in one
     batch per degree.  T is decided only on the given classes and on the
-    children of classes where it holds.  |c| comes from one coded
-    composition table per degree, or from ``_members`` where that table
-    passes the element budget.  Then the ranks are filled in from
-    degree 0 up.
+    children of classes where it holds.  |c| comes from one batch read
+    per degree (``linsys._class_members``).  Then the ranks are filled
+    in from degree 0 up.
     """
     n = G.n
     eye = np.eye(n, dtype=np.int64)
@@ -752,12 +732,7 @@ def _recurse_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) ->
         wanted[inverse[: len(given)]] = toric
         wanted[inverse[len(given) :][pending_toric]] = True
         reps_k = rows[first]
-        table = _degree_classes(G, k) if len(reps_k) else None
-        if table is None:
-            members = [_members(G, Divisor(tuple(r))) for r in reps_k.tolist()]
-        else:
-            empty = reps_k[:0]
-            members = [table.get(code, empty) for code in codes[first].tolist()]
+        members = _class_members(G, k, reps_k)
         effective = np.array([len(m) > 0 for m in members], dtype=bool)
         passes = np.zeros(len(members), dtype=bool)
         own = np.zeros(len(members), dtype=bool)
@@ -938,12 +913,18 @@ def run_exhaustive(config: ExperimentConfig) -> ExperimentReport:
 # random sweep driver
 
 
+# reachable genera can still be too rare to draw: K_10 (genus 36) comes
+# up once in 2^45 fair-coin graphs on 10 vertices
+_MAX_REJECTED_DRAWS = 10_000
+
+
 def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Random high-genus spot check.
 
     Draws random connected graphs with n in [n_min, n_max], keeps those
     with genus >= min_genus, tests one random effective divisor of
-    degree genus - 1 on each, and stops after `cases` kept cases.  Runs
+    degree genus - 1 on each, and stops after `cases` kept cases.  Raises
+    ConfigError after _MAX_REJECTED_DRAWS rejected draws in a row.  Runs
     sequentially regardless of config.workers: cases are cheap and few,
     and the rejection stream is easiest to keep reproducible as a single
     sequence.  Each case is a one-row block of its own graph.
@@ -959,7 +940,7 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
     # complete before the sink writes its header
     graphs: list[Multigraph] = []
     blocks: list[_CaseBlock] = []
-    attempt = 0
+    attempt = rejected = 0
     while len(blocks) < config.cases:
         n = config.n_min + derive_seed(config.seed, "sweep-n", attempt) % (
             config.n_max - config.n_min + 1
@@ -968,7 +949,14 @@ def run_random_sweep(config: ExperimentConfig) -> ExperimentReport:
         g = genus(G)
         attempt += 1
         if g < config.min_genus:
+            rejected += 1
+            if rejected == _MAX_REJECTED_DRAWS:
+                raise ConfigError(
+                    f"min_genus {config.min_genus}: {rejected} graphs drawn in a row "
+                    f"on {config.n_min}..{config.n_max} vertices all had a smaller genus"
+                )
             continue
+        rejected = 0
         D = random_effective_divisor(
             n, g - 1, derive_seed(config.seed, "sweep-divisor", attempt - 1)
         )

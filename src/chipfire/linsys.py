@@ -6,13 +6,17 @@ values lend.  The group action is ``D + L f`` with L the Laplacian.  The
 complete linear system |D| is the set of effective divisors equivalent
 to D, computed exactly in one of two ways:
 
-1. Filter.  Every member of |D| is a composition of d = deg(D), so when
+1. Table.  Every member of |D| is a composition of d = deg(D), so when
    the table of compositions is small, ``C(d + n - 1, n - 1) * n <=
-   _ELEMENT_BUDGET``, |D| is the rows of that table whose class key
-   equals D's.  The table is cached and already lexicographically
-   sorted, and the class data is one cached Smith form per graph, so a
-   call costs one key product over the table: O(C(d + n - 1, n - 1) * n
-   * k) for k nontrivial invariant factors.
+   _ELEMENT_BUDGET``, |D| is the rows of that table whose class code
+   equals D's.  ``_class_members`` is the one reader of the table: it
+   takes a batch of divisors of one degree, codes the table once, and
+   answers one divisor with a mask over the codes and a batch with one
+   stable sort of them.  The table is cached and already
+   lexicographically sorted, and the class data is one cached Smith
+   form per graph, so a read costs one key product over the table:
+   O(C(d + n - 1, n - 1) * n * k) for k nontrivial invariant factors,
+   plus the sort for a batch.
 2. Walk.  Above the budget, or when an invariant factor of the
    Laplacian passes 2^62, Baker-Norine's greedy algorithm first finds
    one effective representative or proves there is none: a vertex in
@@ -91,23 +95,21 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # S_ii = 0 must vanish exactly).  The tuple of residues is a complete
 # invariant of the divisor class; ``_class_codes`` folds it and the
 # degree into one int64 per divisor.  The experiment drivers group
-# divisors by that code and solve each class once.  The exhaustive one
-# also codes the composition table of each degree once and groups its
-# rows by code, which lists every effective class of that degree with
-# its linear system; its rank recursion over classes finds the children
-# c - e_v of a class by coding those representatives here too, so key
-# arithmetic lives in this module alone.  The filter path of the member
-# enumeration reads |D| off the composition table the same way.  So a
-# graph is diagonalized at most once while its entry stays in the
-# cache.  Keys keep only the nontrivial invariant factors: rows with
-# S_ii = 1 say nothing and are dropped, and the rows with S_ii > 1 are
-# reduced mod S_ii, so key entries stay below the largest factor even
-# where U itself has entries past 2^40.  (The row with S_ii = 0 is
-# +-(1, ..., 1) on a connected graph.)  Factors themselves pass 2^40 on
-# some 16-vertex graphs, so the int64 bound is checked per batch, on the
-# product that can overflow, and a batch past it is keyed over Python
-# ints.  Only the key is derived; no reduced representative divisor is
-# ever produced or exposed.
+# divisors by that code and solve each class once; the exhaustive one's
+# rank recursion over classes finds the children c - e_v of a class by
+# coding those representatives here too.  ``_class_members`` reads |c|
+# off the coded composition table of c's degree, for one class or a
+# batch, so key arithmetic lives in this module alone.  So a graph is
+# diagonalized at most once while its entry stays in the cache.  Keys
+# keep only the nontrivial invariant factors: rows with S_ii = 1 say
+# nothing and are dropped, and the rows with S_ii > 1 are reduced mod
+# S_ii, so key entries stay below the largest factor even where U itself
+# has entries past 2^40.  (The row with S_ii = 0 is +-(1, ..., 1) on a
+# connected graph.)  Factors themselves pass 2^40 on some 16-vertex
+# graphs, so the int64 bound is checked per batch, on the product that
+# can overflow, and a batch past it is keyed over Python ints.  Only the
+# key is derived; no reduced representative divisor is ever produced or
+# exposed.
 
 
 def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -232,7 +234,7 @@ def _class_codes(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     for s in moduli.tolist():
         weights.append(kappa if s else 0)
         kappa *= s or 1
-    (top,) = np.flatnonzero(moduli == 0)
+    top = moduli.tolist().index(0)
     weights[top] = kappa * int(rows[top, 0])  # +-1, so the digit is the degree
     if kappa * (int(np.abs(keys[:, top]).max(initial=0)) + 1) >= 1 << 63:
         return _row_keys(keys)
@@ -268,7 +270,7 @@ class LinearSystem:
 
 # Largest number of entries in one broadcast block, for the member walk
 # here and the domination tests of rank and toric_rank; also the largest
-# composition table the member filter keys.
+# composition table ``_class_members`` codes.
 _ELEMENT_BUDGET = 1 << 20
 
 
@@ -333,14 +335,6 @@ def _compositions_array(n: int, d: int, lo: int = 0, hi: int | None = None) -> n
     return arr
 
 
-def _filter_members(G: Multigraph, D: Divisor) -> np.ndarray:
-    """|D| as the compositions of deg(D) in the class of D, in table
-    order.  Raises OverflowError where an invariant factor passes 2^62."""
-    comps = _compositions_array(G.n, degree(D))
-    key = _class_keys_batch(G, D.as_array()[None, :])
-    return comps[(_class_keys_batch(G, comps) == key).all(axis=1)]
-
-
 def _walk_members(G: Multigraph, D: Divisor) -> np.ndarray:
     """|D| by the reduction and the subset-firing walk."""
     L = laplacian(G)
@@ -373,14 +367,34 @@ def _walk_members(G: Multigraph, D: Divisor) -> np.ndarray:
     return members[np.lexsort(members.T[::-1])]
 
 
-def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
-    """|D| by the filter while the composition table of deg(D) fits the
-    element budget and the graph has class keys, else by the walk."""
-    d = degree(D)
-    if d >= 0 and comb(d + G.n - 1, G.n - 1) * G.n <= _ELEMENT_BUDGET:
+def _class_members(G: Multigraph, k: int, reps: np.ndarray) -> list[np.ndarray]:
+    """|c| for each row c of an (m, n) array of divisors of degree k,
+    each a new array in lexicographic order.
+
+    While the composition table of k fits the element budget and G has
+    class keys, |c| is the rows of that table with c's class code: a
+    mask for one row (a sort makes a single read about 40% dearer),
+    else one stable sort of the table's codes, so a batch costs no mask
+    per class.  Otherwise each |c| comes from the walk.
+    """
+    n = G.n
+    if len(reps) and k >= 0 and comb(k + n - 1, n - 1) * n <= _ELEMENT_BUDGET:
         with suppress(OverflowError):
-            return _filter_members(G, D)
-    return _walk_members(G, D)
+            comps = _compositions_array(n, k)
+            codes, wanted = _class_codes(G, comps), _class_codes(G, reps)
+            if len(reps) == 1:
+                return [comps[codes == wanted[0]]]
+            order = np.argsort(codes, kind="stable")
+            codes = codes[order]
+            lo = np.searchsorted(codes, wanted, "left").tolist()
+            hi = np.searchsorted(codes, wanted, "right").tolist()
+            return [comps[order[a:b]] for a, b in zip(lo, hi)]
+    return [_walk_members(G, Divisor(tuple(r))) for r in reps.tolist()]
+
+
+def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
+    """|D|, the one-row case of ``_class_members``."""
+    return _class_members(G, degree(D), D.as_array()[None, :])[0]
 
 
 @lru_cache(maxsize=256)

@@ -266,6 +266,32 @@ def subset_outcome(G: cf.Multigraph, coeffs) -> tuple[bool, int, tuple[bool, ...
     return kernel_dim >= 1 and all(support), kernel_dim, support
 
 
+def break_divisors(G: cf.Multigraph) -> set[tuple[int, ...]]:
+    """Every break divisor of G (An-Baker-Kuperberg-Shokrieh): for some
+    spanning tree T, one chip on either endpoint of each edge outside T,
+    parallel edges counted one by one."""
+    n, edges = G.n, G.edges()
+    found = set()
+    for tree in itertools.combinations(range(len(edges)), n - 1):
+        parent = list(range(n))
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for i in tree:
+            a, b = root(edges[i][0]), root(edges[i][1])
+            if a == b:
+                break
+            parent[a] = b
+        else:
+            rest = [edges[i] for i in range(len(edges)) if i not in tree]
+            for ends in itertools.product(*rest):
+                found.add(tuple(ends.count(v) for v in range(n)))
+    return found
+
+
 def brute_toric_rank(G: cf.Multigraph, coeffs, radius: int = 10) -> tuple[int, tuple[int, ...]]:
     """Toric rank and witness from the definition: scan levels upward,
     list the removals E of each level lexicographically, and let E

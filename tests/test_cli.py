@@ -253,6 +253,19 @@ def test_random_sweep_unreachable_genus_exits_2(capsys):
     assert "min_genus" in capsys.readouterr().err
 
 
+def test_random_sweep_improbable_genus_exits_2(tmp_path, capsys):
+    # genus 36 on 10 vertices is K_10 alone, one fair-coin draw in 2^45
+    out_path = tmp_path / "r.csv"
+    argv = [
+        "random-sweep", "--cases", "1", "--min-genus", "36", "--n-min", "10",
+        "--n-max", "10", "--no-toric", "--format", "csv", "--out", str(out_path),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "min_genus" in err and f"{experiments._MAX_REJECTED_DRAWS} graphs" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_random_sweep_genus_zero_exits_2(tmp_path, capsys):
     out_path = tmp_path / "r.json"
     argv = [
@@ -282,16 +295,16 @@ def test_readme_random_sweep_at_seed_0(tmp_path, capsys):
 def test_crashed_sweep_leaves_no_report(tmp_path, capsys, monkeypatch, earlier):
     from chipfire import experiments
 
-    real = experiments._degree_classes
+    real = experiments._class_members
     calls = []
 
-    def failing(G, k):
+    def failing(G, k, reps):
         calls.append(k)
         if len(calls) > 20:
             raise RuntimeError("class table broke partway")
-        return real(G, k)
+        return real(G, k, reps)
 
-    monkeypatch.setattr(experiments, "_degree_classes", failing)
+    monkeypatch.setattr(experiments, "_class_members", failing)
     out_path = tmp_path / "r.csv"
     if earlier is not None:
         out_path.write_text(earlier)

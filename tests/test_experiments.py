@@ -453,14 +453,17 @@ def _every_class(G, d):
     return np.array(list(found.values()), dtype=np.int64).reshape(-1, n)
 
 
-def _assert_recursion_matches_scans(G, reps, memo):
-    got = experiments._recurse_classes(G, memo, reps)[:, :2].tolist()
+def _scan_ranks(G, reps, memo):
     cfg = memo.config
-    want = [
+    return [
         [cf.rank(G, Divisor(tuple(r))).rank, cf.toric_rank(G, Divisor(tuple(r)), cfg, memo).rank]
         for r in reps.tolist()
     ]
-    assert got == want, (G.adj, reps.tolist())
+
+
+def _assert_recursion_matches_scans(G, reps, memo):
+    got = experiments._recurse_classes(G, memo, reps)[:, :2].tolist()
+    assert got == _scan_ranks(G, reps, memo), (G.adj, reps.tolist())
 
 
 def test_class_recursion_matches_rank_scans_on_every_class():
@@ -478,16 +481,27 @@ def test_class_recursion_matches_rank_scans_on_every_class():
 
 def test_class_recursion_reads_members_past_the_table_budget(monkeypatch):
     # a budget of 20 entries holds the tables of degrees 0 and 1 on four
-    # vertices; every higher degree reads |c| from _members
-    looked_up = []
-    real = experiments._members
-    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 20)
-    monkeypatch.setattr(experiments, "_members", lambda G, D: looked_up.append(D) or real(G, D))
+    # vertices; every higher degree of the recursion walks for |c|
+    walked = []
+    real_walk = linsys._walk_members
+    monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", 20)
     cfg = cf.ToricConfig()
     for G in enumerate_treeless_graphs(4, (1, 3)):
         reps = np.concatenate([_every_class(G, d) for d in range(-1, 2 * cf.genus(G))])
-        _assert_recursion_matches_scans(G, reps, cf.ToricMemo(G, cfg))
-    assert all(cf.degree(D) >= 2 for D in looked_up) and len(looked_up) > 10
+        memo = cf.ToricMemo(G, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(linsys, "_walk_members", lambda G, D: walked.append(D) or real_walk(G, D))
+            got = experiments._recurse_classes(G, memo, reps)[:, :2].tolist()
+        assert got == _scan_ranks(G, reps, memo), G.adj
+    assert all(cf.degree(D) >= 2 for D in walked) and len(walked) > 10
+
+
+def test_class_recursion_does_not_grow_the_stack():
+    # 1,002 degrees, past Python's default recursion limit of 1,000, on
+    # one vertex, where each degree is one class with a one-row table;
+    # the toric side is off, its tests at degrees near 1,000 take long
+    reps = np.array([[1001]], dtype=np.int64)
+    assert experiments._recurse_classes(cf.path_graph(1), None, reps).tolist() == [[1001, -1, 0]]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -542,11 +556,13 @@ def test_exhaustive_sweep_groups_by_key_rows_past_the_int64_bound(monkeypatch, t
     cfg = _tiny_exhaustive(genus_max=3, max_multiplicity=2)
     paths = [tmp_path / "codes.csv", tmp_path / "keys.csv"]
     run_exhaustive(dataclasses.replace(cfg, output_path=str(paths[0]), output_format="csv"))
-    monkeypatch.setattr(
-        experiments,
-        "_class_codes",
-        lambda G, rows: linsys._row_keys(linsys._class_keys_batch(G, rows)),
-    )
+    # the recursion codes its batches, and linsys the composition tables
+    for module in (experiments, linsys):
+        monkeypatch.setattr(
+            module,
+            "_class_codes",
+            lambda G, rows: linsys._row_keys(linsys._class_keys_batch(G, rows)),
+        )
     report = run_exhaustive(dataclasses.replace(cfg, output_path=str(paths[1]), output_format="csv"))
     assert report.case_count > 1000 and report.violation_count == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -286,24 +286,39 @@ def _assert_same_rows(got, want):
 def test_member_filter_matches_walk_on_random_multigraphs(case):
     G, coeffs = case
     D = Divisor(coeffs)
-    _assert_same_rows(linsys._filter_members(G, D), linsys._walk_members(G, D))
+    _assert_same_rows(linsys._compute_members(G, D), linsys._walk_members(G, D))
 
 
 def test_member_filter_matches_walk_on_tree_windows():
     # every 97th window divisor that criterion 3 asks about (trees with
-    # n <= 6, degrees 0..3, entries in [-2, d + 2])
+    # n <= 6, degrees 0..3, entries in [-2, d + 2]), read as one batch
+    # per tree and degree
     from .helpers import trees_up_to_iso
 
     checked = 0
     for T in (T for n in range(1, 7) for T in trees_up_to_iso(n)):
         for d in range(4):
-            for row in linsys._compositions_array(T.n, d, -2, d + 2)[::97].tolist():
-                D = Divisor(tuple(row))
-                filtered = linsys._filter_members(T, D)
-                _assert_same_rows(filtered, linsys._walk_members(T, D))
+            reps = linsys._compositions_array(T.n, d, -2, d + 2)[::97]
+            for row, filtered in zip(reps.tolist(), linsys._class_members(T, d, reps)):
+                _assert_same_rows(filtered, linsys._walk_members(T, Divisor(tuple(row))))
                 assert len(filtered) == comb(d + T.n - 1, T.n - 1)
                 checked += 1
     assert checked == 1_620
+
+
+def test_batch_read_matches_single_reads_and_copies():
+    # repeated classes and non-effective rows included; every array is a
+    # copy, so none pins the composition table
+    G = cf.complete_graph(4)
+    reps = linsys._compositions_array(4, 3, -2, 5)[::7]
+    batch = linsys._class_members(G, 3, reps)
+    assert len(batch) == len(reps) > 20
+    for row, members in zip(reps.tolist(), batch):
+        D = Divisor(tuple(row))
+        _assert_same_rows(members, linsys._compute_members(G, D))
+        _assert_same_rows(members, linsys._walk_members(G, D))
+        assert members.base is None
+    assert [len(m) for m in linsys._class_members(G, 3, reps[:0])] == []
 
 
 def test_member_paths_switch_at_the_element_budget(monkeypatch):
@@ -326,21 +341,26 @@ def test_member_filter_falls_back_to_walk_on_overflow(monkeypatch):
         raise OverflowError("invariant factor of the Laplacian past 2^62")
 
     G, D = cf.cycle_graph(5), Divisor((2, 0, 1, -1, 1))
+    E = apply_firing(G, D, (1, 0, 0, 0, 0))
     want = linsys._walk_members(G, D)
     monkeypatch.setattr(linsys, "_class_data", overflow)
     _assert_same_rows(linsys._compute_members(G, D), want)
+    for members in linsys._class_members(G, cf.degree(D), np.array([D.coeffs, E.coeffs])):
+        _assert_same_rows(members, want)
     with pytest.raises(OverflowError):
-        linsys._filter_members(G, D)
+        linsys._class_codes(G, D.as_array()[None, :])
 
 
-def test_member_filter_keys_past_the_int64_product_bound():
+def test_member_filter_keys_past_the_int64_product_bound(monkeypatch):
     # the factor fits 2^62, but max|U| * n * 2 passes 2^63
     G = cf.random_connected_graph(20, 1)
     rows, moduli = linsys._class_data(G)
     assert moduli.tolist() == [258_646_455_464_187_608, 0]
     assert int(np.abs(rows).max()) * 20 * 2 >= 1 << 63
     D = Divisor((2,) + (0,) * 19)
-    _assert_same_rows(linsys._filter_members(G, D), linsys._walk_members(G, D))
+    want = linsys._walk_members(G, D)
+    monkeypatch.setattr(linsys, "_walk_members", None)  # the table must answer
+    _assert_same_rows(linsys._compute_members(G, D), want)
 
 
 def test_class_data_remembers_an_overflowing_graph(monkeypatch):
@@ -350,9 +370,16 @@ def test_class_data_remembers_an_overflowing_graph(monkeypatch):
     linsys._class_data.cache_clear()
     G = cf.random_connected_graph(24, 0)  # an invariant factor past 2^62
     D = Divisor((2,) + (0,) * 23)
+    # the walk over 2^24 subset firings is too slow here; only the
+    # fallback to it counts
+    walked = []
+    no_walk = lambda G, D: walked.append(D) or np.empty((0, G.n), dtype=np.int64)  # noqa: E731
+    monkeypatch.setattr(linsys, "_walk_members", no_walk)
     for _ in range(2):
+        linsys._class_members(G, cf.degree(D), D.as_array()[None, :])
         with pytest.raises(OverflowError):
-            linsys._filter_members(G, D)
+            linsys._class_codes(G, D.as_array()[None, :])
+    assert walked == [D, D]
     assert len(calls) == 1
     linsys._class_data.cache_clear()
 
@@ -401,7 +428,7 @@ def test_member_arrays_are_read_only():
 
 
 def test_single_queries_diagonalize_each_graph_at_most_once(monkeypatch):
-    # The member filter keys a small composition table by class, so single
+    # The table read codes a small composition table by class, so single
     # queries diagonalize the Laplacian; the cached class data means at
     # most once per graph, however many queries follow.
     calls = []
@@ -415,7 +442,7 @@ def test_single_queries_diagonalize_each_graph_at_most_once(monkeypatch):
         assert cf.rank(G, D).rank == 2
         assert verify_rr_graph(G, D)
         assert D in linear_system(G, D)
-        assert cf.rank(G, Divisor((1,) + (0,) * 9)).rank == 0  # degree 1: the filter
+        assert cf.rank(G, Divisor((1,) + (0,) * 9)).rank == 0  # degree 1: the table
         assert cf.verify_rr_toric(cf.complete_graph(4), (1, 0, 0, 1))
         assert cf.rank(cf.cycle_graph(5), (2, 0, 0, 0, 0)).rank == 1
     linsys._class_data.cache_clear()

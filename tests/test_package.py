@@ -47,3 +47,24 @@ def test_public_names_are_declared_once_in_their_modules():
     for name in chipfire.__all__:
         getattr(chipfire, name)
     assert chipfire.rank is rank_module.rank
+
+
+def test_readme_quickstart_prints_what_it_says():
+    # each commented line of the quickstart block is the repr of the
+    # expression above it (a whole-line comment) or beside it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for line, after in zip(lines, lines[1:] + [""]):
+        code, _, beside = (part.strip() for part in line.partition("#"))
+        if not code:
+            continue
+        expected = beside or (after[2:] if after.startswith("# ") else "")
+        if expected:
+            assert repr(eval(code, namespace)) == expected, code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 5

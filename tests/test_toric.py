@@ -30,6 +30,7 @@ from chipfire import (
 from chipfire.toric import _field_element
 
 from .helpers import (
+    break_divisors,
     brute_toric_rank,
     connected_multigraphs_up_to_iso,
     flow_outcome,
@@ -65,6 +66,30 @@ def sweep_divisors():
         for d in range(cf.genus(G) - 1, cf.genus(G) + 2)
         for D in effective_divisors_of_degree(G.n, d)
     ]
+
+
+def test_break_divisors_are_one_per_class_and_the_passing_degree_g_divisors():
+    # ABKS: the break divisors number kappa(G) and meet each class of
+    # degree g once; they are the divisors of degree g that a generic
+    # curve passes, by the exact subset oracle.  A divisor with d_v < 0
+    # fails it (adding v to a set of largest excess keeps the excess
+    # largest, so block v is unsupported), so the passing ones of degree
+    # g lie in [0, g]; the window [-1, g + 1] tries a margin around that.
+    graphs = list(cf.enumerate_treeless_graphs(5, (1, 3)))
+    assert len(graphs) == 60
+    classes = 0
+    for G in graphs:
+        g = cf.genus(G)
+        moduli = cf.linsys._class_data(G)[1]
+        kappa = int(np.prod(moduli[moduli != 0]))
+        found = break_divisors(G)
+        assert len(found) == kappa, G.adj
+        rows = np.array(sorted(found), dtype=np.int64)
+        assert len(np.unique(cf.linsys._class_codes(G, rows))) == kappa, G.adj
+        window = cf.linsys._compositions_array(G.n, g, -1, g + 1).tolist()
+        assert {tuple(d) for d in window if subset_outcome(G, d)[0]} == found, G.adj
+        classes += kappa
+    assert classes == 649
 
 
 def test_is_prime():
