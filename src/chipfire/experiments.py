@@ -32,7 +32,7 @@ from .graphs import (
     canonical_divisor,
     genus,
 )
-from .linsys import _class_codes, _class_members, _compositions_array
+from .linsys import _class_codes, _class_members, _window_table
 from .rank import rank
 from .toric import (
     ToricConfig,
@@ -415,12 +415,6 @@ class _CaseBlock:
                 col(self.anomalies),
             )
         ]
-
-
-def _window_table(n: int, d: int, window: int) -> np.ndarray:
-    """The divisors of degree d on n vertices with entries in
-    [-window, d + window], lexicographically ascending."""
-    return _compositions_array(n, d, -window, d + window)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -104,8 +106,9 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # keep only the nontrivial invariant factors: rows with S_ii = 1 say
 # nothing and are dropped, and the rows with S_ii > 1 are reduced mod
 # S_ii, so key entries stay below the largest factor even where U itself
-# has entries past 2^40.  (The row with S_ii = 0 is +-(1, ..., 1) on a
-# connected graph.)  Factors themselves pass 2^40 on some 16-vertex
+# has entries past 2^40.  On a connected graph the one row with S_ii = 0
+# is +-(1, ..., 1), so a row of ones takes its place and the last key
+# entry is the degree.  Factors themselves pass 2^40 on some 16-vertex
 # graphs, so the int64 bound is checked per batch, on the product that
 # can overflow, and a batch past it is keyed over Python ints.  Only the
 # key is derived; no reduced representative divisor is ever produced or
@@ -177,27 +180,29 @@ def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
 
 @lru_cache(maxsize=256)
 def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray] | None:
-    """The key rows of U (reduced mod their invariant factor) and those
-    factors, for the invariant factors other than 1; both read-only.
-    None when a factor passes 2^62, so the cache keeps that too."""
+    """The key rows and the invariant factors above 1, both read-only:
+    the rows of U for those factors, reduced mod their factor, then a
+    row of ones, which keys the degree.  None when a factor passes
+    2^62, so the cache keeps that too."""
     U, diag = _snf_left(laplacian(G).tolist())
-    kept = [(tuple(x % s for x in row) if s else row, s) for row, s in zip(U, diag) if s != 1]
+    kept = [(tuple(x % s for x in row), s) for row, s in zip(U, diag) if s > 1]
     if any(s >= 1 << 62 for _, s in kept):
         return None
-    rows = np.array([row for row, _ in kept], dtype=np.int64).reshape(len(kept), G.n)
+    rows = np.array([row for row, _ in kept] + [(1,) * G.n], dtype=np.int64)
     moduli = np.array([s for _, s in kept], dtype=np.int64)
     rows.flags.writeable = moduli.flags.writeable = False
     return rows, moduli
 
 
 def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
-    """Class keys for an (m, n) array of divisors, one int64 key row each.
+    """Class keys for an (m, n) array of divisors, one int64 key row each:
+    the residues mod the invariant factors, then the degree.
 
     Each key entry is a sum of n products of a divisor entry and a key
     row entry, so int64 holds it while max|U| * n * max|D| < 2^63.  Past
-    that the products are taken over Python ints; the reduced entries
-    are below their factor, so the keys fit int64 again.  Raises
-    OverflowError only when a factor itself passes 2^62.
+    that the products are taken over Python ints and reduced before the
+    cast; the residues are below their factor, so the keys fit int64
+    again.  Raises OverflowError only when a factor itself passes 2^62.
     """
     data = _class_data(G)
     if data is None:
@@ -205,11 +210,11 @@ def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     U, moduli = data
     divisors = np.asarray(divisors, dtype=np.int64)
     largest = max(int(divisors.max(initial=0)), -int(divisors.min(initial=0)))
-    if int(np.abs(U).max(initial=0)) * G.n * largest < 1 << 63:
+    if int(np.abs(U).max()) * G.n * largest < 1 << 63:
         keys = divisors @ U.T
     else:
         keys = divisors.astype(object) @ U.T.astype(object)
-    np.remainder(keys, moduli, out=keys, where=moduli != 0)
+    keys[:, :-1] %= moduli
     return keys.astype(np.int64, copy=False)
 
 
@@ -217,11 +222,10 @@ def _class_codes(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     """One class code per row of an (m, n) array of divisors; two rows of
     one batch get equal codes iff they are equivalent.
 
-    The code is an int64: the key row read in mixed radix, its residues
-    over the nonzero moduli first, whose product kappa(G) is the number
-    of spanning trees (Kirchhoff), and the degree as the top digit.  On a
-    connected graph the key entry at the zero modulus is +-degree, as
-    its row of U is +-(1, ..., 1).  Where kappa(G) times (the largest
+    The code is an int64: the key row read in mixed radix, with place
+    values 1, s_1, s_1 s_2, ..., kappa over the invariant factors s_i,
+    whose product kappa(G) is the number of spanning trees (Kirchhoff),
+    so the degree is the top digit.  Where kappa(G) times (the largest
     |degree| + 1) passes 2^63 the codes are the key rows themselves, as
     opaque void values (``_row_keys``).  Both kinds sort, compare and
     hash, so np.unique and dicts group by them; codes of two batches
@@ -229,16 +233,10 @@ def _class_codes(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
     always are.
     """
     keys = _class_keys_batch(G, divisors)
-    rows, moduli = _class_data(G)
-    weights, kappa = [], 1
-    for s in moduli.tolist():
-        weights.append(kappa if s else 0)
-        kappa *= s or 1
-    top = moduli.tolist().index(0)
-    weights[top] = kappa * int(rows[top, 0])  # +-1, so the digit is the degree
-    if kappa * (int(np.abs(keys[:, top]).max(initial=0)) + 1) >= 1 << 63:
+    places = list(accumulate(_class_data(G)[1].tolist(), mul, initial=1))
+    if places[-1] * (int(np.abs(keys[:, -1]).max(initial=0)) + 1) >= 1 << 63:
         return _row_keys(keys)
-    return keys @ np.array(weights, dtype=np.int64)
+    return keys @ np.array(places, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +312,38 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def _compositions_array(n: int, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """All integer n-vectors with entries in [lo, hi] summing to d
     (hi defaults to d), lexicographically ascending, as a read-only
-    array."""
+    array.
+
+    Built one entry at a time: each prefix is repeated once per value
+    its next entry can take while the entries after it can still make
+    up the rest of d, and the last entry is what remains, kept only if
+    it lies in [lo, hi].  Every prefix kept ends some row, so each of
+    the n - 1 levels is O(rows * n) numpy work; when d is large against
+    n most prefixes appear at the last levels, and the whole build is
+    close to O(rows * n).
+    """
     if hi is None:
         hi = d
-    if n == 1:
-        arr = np.array([[d]] if lo <= d <= hi else [], dtype=np.int64).reshape(-1, 1)
-    else:
-        parts = [np.empty((0, n), dtype=np.int64)]
-        for first in range(max(lo, d - (n - 1) * hi), min(hi, d - (n - 1) * lo) + 1):
-            rest_sum = d - first
-            # hi clipped to what one entry of the rest can reach, so that
-            # equal sets share a cache key across levels
-            rest = _compositions_array(n - 1, rest_sum, lo, min(hi, rest_sum - (n - 2) * lo))
-            block = np.empty((len(rest), n), dtype=np.int64)
-            block[:, 0] = first
-            block[:, 1:] = rest
-            parts.append(block)
-        arr = np.vstack(parts)
+    table = np.zeros((1, n), dtype=np.int64)
+    left = np.array([d], dtype=np.int64)  # d minus the sum of each prefix
+    for j in range(n - 1):
+        after = n - 1 - j  # entries after entry j
+        first = np.maximum(lo, left - after * hi)
+        counts = np.maximum(np.minimum(hi, left - after * lo) - first + 1, 0)
+        table = np.repeat(table, counts, axis=0)
+        # prefix p's copies take first[p], first[p] + 1, ... at entry j
+        table[:, j] = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(table))
+        left = np.repeat(left, counts) - table[:, j]
+    table[:, -1] = left
+    arr = table[(lo <= left) & (left <= hi)]
     arr.flags.writeable = False
     return arr
+
+
+def _window_table(n: int, d: int, window: int) -> np.ndarray:
+    """The divisors of degree d on n vertices with entries in
+    [-window, d + window], lexicographically ascending."""
+    return _compositions_array(n, d, -window, d + window)
 
 
 def _walk_members(G: Multigraph, D: Divisor) -> np.ndarray:
@@ -410,8 +421,6 @@ def _members(G: Multigraph, D: Divisor) -> np.ndarray:
 def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
     """All effective divisors linearly equivalent to D, or empty."""
     D = _coerce_divisor(D, G.n)
-    if degree(D) <= -1:
-        return LinearSystem(D, ())
     return LinearSystem(D, tuple(_divisor_from_ints(tuple(row)) for row in _members(G, D).tolist()))
 
 

@@ -27,7 +27,7 @@ from .graphs import (
     degree,
     genus,
 )
-from .linsys import _ELEMENT_BUDGET, _compositions_array, _members
+from .linsys import _ELEMENT_BUDGET, _compositions_array, _members, _window_table
 
 __all__ = [
     "RankResult",
@@ -71,8 +71,7 @@ def non_effective_divisors_of_degree(n: int, d: int, window: int) -> tuple[Divis
         raise ValueError("need at least one vertex")
     if window < 0:
         raise ValueError("window must be nonnegative")
-    arr = _compositions_array(n, d, -window, d + window)
-    return tuple(Divisor(tuple(row)) for row in arr.tolist())
+    return tuple(Divisor(tuple(row)) for row in _window_table(n, d, window).tolist())
 
 
 def _dominance_blocks(removals: np.ndarray, members: np.ndarray):
@@ -108,9 +107,6 @@ def _rank_scan(
     removal of degree(D) + 1 chips.
     """
     n = G.n
-    if degree(D) < 0:
-        # negative total degree: no effective divisor is reachable
-        return RankResult(-1, Divisor.zero(n))
     members = _members(G, D)
     if len(members) == 0:
         return RankResult(-1, Divisor.zero(n))

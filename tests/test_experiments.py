@@ -473,7 +473,7 @@ def test_class_recursion_matches_rank_scans_on_every_class():
     for G in graphs:
         g = cf.genus(G)
         moduli = linsys._class_data(G)[1]
-        jacobian = int(np.prod(moduli[moduli != 0]))
+        jacobian = int(np.prod(moduli))
         reps = [_every_class(G, d) for d in range(-1, 2 * g)]
         assert all(len(r) == jacobian for r in reps)
         _assert_recursion_matches_scans(G, np.concatenate(reps), cf.ToricMemo(G, cfg))
@@ -502,6 +502,9 @@ def test_class_recursion_does_not_grow_the_stack():
     # the toric side is off, its tests at degrees near 1,000 take long
     reps = np.array([[1001]], dtype=np.int64)
     assert experiments._recurse_classes(cf.path_graph(1), None, reps).tolist() == [[1001, -1, 0]]
+    # two vertices, genus 1: 1,002 degrees, each with a two-column table
+    reps = np.array([[1001, 0]], dtype=np.int64)
+    assert experiments._recurse_classes(cf.cycle_graph(2), None, reps).tolist() == [[1000, -1, 0]]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

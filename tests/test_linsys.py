@@ -102,6 +102,23 @@ def test_linear_system_matches_brute_force_small():
             assert got == expected, (G.adj, coeffs)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compositions_array_matches_product_oracle(n):
+    # negative lo, hi below lo, and d outside [n * lo, n * hi] included
+    for lo, hi, d in itertools.product(range(-2, 2), range(-3, 4), range(-7, 9)):
+        got = linsys._compositions_array(n, d, lo, hi)
+        want = [r for r in itertools.product(range(lo, hi + 1), repeat=n) if sum(r) == d]
+        assert got.dtype == np.int64 and got.shape == (len(want), n), (n, d, lo, hi)
+        assert got.tolist() == [list(r) for r in want], (n, d, lo, hi)
+        assert not got.flags.writeable
+        assert linsys._compositions_array(n, d, lo, hi) is got
+    # hi defaults to d
+    for d in range(-1, 6):
+        want = [list(r) for r in itertools.product(range(d + 1), repeat=n) if sum(r) == d]
+        assert linsys._compositions_array(n, d).tolist() == want
+        assert linsys._compositions_array(n, d) is linsys._compositions_array(n, d)
+
+
 def test_equivalent_divisors_share_system():
     G = cf.cycle_graph(5)
     D = Divisor((2, 0, 0, 0, 0))
@@ -128,9 +145,9 @@ WIDE_TRANSFORM_GRAPH = (
 def test_class_keys_keep_only_nontrivial_factors():
     G = cf.Multigraph.from_adjacency(WIDE_TRANSFORM_GRAPH)
     rows, moduli = linsys._class_data(G)
-    assert moduli.tolist() == [754495, 0]
+    assert moduli.tolist() == [754495]
     assert (rows[0] >= 0).all() and (rows[0] < 754495).all()
-    assert abs(rows[1]).tolist() == [1] * 10
+    assert rows[1].tolist() == [1] * 10  # the last key entry is the degree
     assert cf.rank(G, Divisor.zero(10)).rank == 0
     D = Divisor((2, 3, 2, 3, 1, 3, 1, 0, 1, 2))  # degree g - 1 = 18
     assert cf.rank(G, D).rank == 2
@@ -146,7 +163,7 @@ def test_class_keys_keep_only_nontrivial_factors():
 
 
 @pytest.mark.parametrize(
-    "seed, factors", [(3, [2, 3_588_816_650_934, 0]), (6, [15_780_380_899_397, 0])]
+    "seed, factors", [(3, [2, 3_588_816_650_934]), (6, [15_780_380_899_397])]
 )
 def test_class_keys_past_40_bit_factors(seed, factors):
     # Invariant factors of 42 and 44 bits: key rows reduced mod them stay
@@ -164,9 +181,11 @@ def test_class_keys_past_40_bit_factors(seed, factors):
     assert (key_fired == key_D).all()
     key_e0, key_e1 = linsys._class_keys_batch(G, np.array([e[0].coeffs, e[1].coeffs]))
     assert (key_e0 != key_e1).any()
-    # 2^44 * 16 * 10^7 > 2^63: keyed over Python ints, still exact
+    # 2^44 * 16 * 10^7 > 2^63: keyed over Python ints, reduced before the
+    # cast to int64, still exact
     big = Divisor((10**7,) + (0,) * 15)
-    exact = [10**7 * int(u) % s if s else 10**7 * int(u) for u, s in zip(rows[:, 0], factors)]
+    assert 10**7 * int(rows[:-1, 0].max()) >= 1 << 63
+    exact = [10**7 * int(u) % s for u, s in zip(rows[:-1, 0], factors)] + [10**7]
     keys = linsys._class_keys_batch(G, np.array([big.coeffs, apply_firing(G, big, f).coeffs]))
     assert keys.dtype == np.int64
     assert keys.tolist() == [exact, exact]
@@ -216,7 +235,7 @@ def test_class_codes_group_like_class_keys(case):
 def test_class_codes_fall_back_to_key_rows_past_the_int64_bound():
     # kappa(K_20) = 20^18 > 2^63: every batch is grouped by its key rows
     G = cf.complete_graph(20)
-    assert linsys._class_data(G)[1].tolist() == [20] * 18 + [0]
+    assert linsys._class_data(G)[1].tolist() == [20] * 18
     rows = _shifted_rows(G, (2, -1) + (0,) * 17 + (1,))
     assert linsys._class_codes(G, rows).dtype.kind == "V"
     _assert_codes_group_like_keys(G, rows)
@@ -355,9 +374,14 @@ def test_member_filter_keys_past_the_int64_product_bound(monkeypatch):
     # the factor fits 2^62, but max|U| * n * 2 passes 2^63
     G = cf.random_connected_graph(20, 1)
     rows, moduli = linsys._class_data(G)
-    assert moduli.tolist() == [258_646_455_464_187_608, 0]
+    assert moduli.tolist() == [258_646_455_464_187_608]
     assert int(np.abs(rows).max()) * 20 * 2 >= 1 << 63
     D = Divisor((2,) + (0,) * 19)
+    # E's key products pass 2^63 before the reduction
+    E = apply_firing(G, D, (0,) * 19 + (30,))
+    assert abs(sum(int(u) * c for u, c in zip(rows[0], E.coeffs))) >= 1 << 63
+    keys = linsys._class_keys_batch(G, np.array([D.coeffs, E.coeffs]))
+    assert keys.tolist() == [[2 * int(rows[0, 0]), 2]] * 2
     want = linsys._walk_members(G, D)
     monkeypatch.setattr(linsys, "_walk_members", None)  # the table must answer
     _assert_same_rows(linsys._compute_members(G, D), want)
