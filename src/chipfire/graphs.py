@@ -84,10 +84,14 @@ class Divisor:
         return self.coeffs[i]
 
     def __add__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         self._check_length(other)
         return Divisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         self._check_length(other)
         return Divisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -98,7 +102,9 @@ class Divisor:
         return all(c >= 0 for c in self.coeffs)
 
     def dominates(self, other: "Divisor") -> bool:
-        """Componentwise ``self >= other``."""
+        """Componentwise ``self >= other``; other must be a Divisor."""
+        if not isinstance(other, Divisor):
+            raise TypeError(f"dominates needs a Divisor, got {type(other).__name__}")
         self._check_length(other)
         return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
 

@@ -418,10 +418,30 @@ def _members(G: Multigraph, D: Divisor) -> np.ndarray:
     return arr
 
 
+# Member Divisors already handed out, keyed by their coefficients, so
+# that systems kept side by side hold one object for a member they have
+# in common.  The map is emptied when it reaches _SHARED_MEMBERS entries,
+# so once callers drop their systems it keeps at most that many Divisors
+# alive: about 12 MB on eight vertices.
+_SHARED_MEMBERS = 1 << 16
+_shared_members: dict[tuple[int, ...], Divisor] = {}
+
+
 def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
-    """All effective divisors linearly equivalent to D, or empty."""
+    """All effective divisors linearly equivalent to D, or empty.
+
+    A member that an earlier call returned comes back as the same
+    Divisor while ``_shared_members`` holds it."""
     D = _coerce_divisor(D, G.n)
-    return LinearSystem(D, tuple(_divisor_from_ints(tuple(row)) for row in _members(G, D).tolist()))
+    divisors = []
+    for row in map(tuple, _members(G, D).tolist()):
+        div = _shared_members.get(row)
+        if div is None:
+            if len(_shared_members) >= _SHARED_MEMBERS:
+                _shared_members.clear()
+            div = _shared_members[row] = _divisor_from_ints(row)
+        divisors.append(div)
+    return LinearSystem(D, tuple(divisors))
 
 
 def is_effective_equivalent(G: Multigraph, D: DivisorLike) -> bool:

@@ -4,9 +4,11 @@ The rank of D is the largest r such that removing any r chips (any
 effective divisor of degree r) leaves a divisor with nonempty linear
 system; it is -1 when |D| itself is empty.  The search mirrors the
 classical loop: compute |D| once, then test chip removals level by level
-in lexicographic order until one fails.  toric_rank runs the same scan
-with a different survival test, so both live in ``_rank_scan``, and
-both Riemann-Roch checks read one residual, ``_rr_residual``.
+in lexicographic order until one fails.  A removal survives when some
+member dominates it, which ``_dominance_blocks`` decides for a block of
+removals at a time.  toric_rank runs the same scan with a different
+survival test, so both live in ``_rank_scan``, and both Riemann-Roch
+checks read one residual, ``_rr_residual``.
 """
 
 from __future__ import annotations
@@ -78,18 +80,28 @@ def _dominance_blocks(removals: np.ndarray, members: np.ndarray):
     """Yield (chunk, dom) over consecutive chunks of removals, with
     ``dom[i, j]`` true iff members[j] >= chunk[i] componentwise.
 
-    The comparison runs in blocks along both axes, so no broadcast holds
-    more than ``_ELEMENT_BUDGET`` entries however large |D| is.
+    dom starts as the 2-D comparison of the first coordinates, and the
+    comparison of each other coordinate is ANDed into it in place, so
+    each temporary is 2-D, one per coordinate.  Each member coordinate
+    is read as one contiguous row of members.T.  A chunk's dom spans
+    every member, so it holds at most ``_ELEMENT_BUDGET`` entries while
+    |D| does; past that a chunk is one removal, and its comparisons run
+    in column blocks of the budget.
     """
     n = removals.shape[1]
-    rows = max(1, _ELEMENT_BUDGET // (n * len(members)))
-    cols = max(1, _ELEMENT_BUDGET // (n * rows))
+    rows = max(1, _ELEMENT_BUDGET // len(members))
+    cols = max(1, _ELEMENT_BUDGET // rows)
+    by_coordinate = np.ascontiguousarray(members.T)
     for start in range(0, len(removals), rows):
         chunk = removals[start : start + rows]
+        wanted = chunk.T[:, :, None]
         dom = np.empty((len(chunk), len(members)), dtype=bool)
         for m0 in range(0, len(members), cols):
-            block = members[m0 : m0 + cols]
-            dom[:, m0 : m0 + cols] = (chunk[:, None, :] <= block[None, :, :]).all(axis=2)
+            block = by_coordinate[:, m0 : m0 + cols]
+            part = dom[:, m0 : m0 + cols]
+            np.less_equal(wanted[0], block[0], out=part)
+            for k in range(1, n):
+                part &= wanted[k] <= block[k]
         yield chunk, dom
 
 

@@ -42,6 +42,23 @@ def test_divisor_length_mismatch():
         Divisor((1, 2)).dominates(Divisor((1,)))
 
 
+def test_divisor_arithmetic_rejects_non_divisors():
+    # a tuple or list is not coerced: + and - leave it to Python, which
+    # raises TypeError, and dominates raises TypeError itself
+    d = Divisor((1, 2))
+    for other in ((1, 1), [1, 1], 1):
+        with pytest.raises(TypeError):
+            d + other
+        with pytest.raises(TypeError):
+            d - other
+        with pytest.raises(TypeError):
+            d.dominates(other)
+    assert d.__add__((1, 1)) is NotImplemented
+    assert d.__sub__([1, 1]) is NotImplemented
+    assert (d + Divisor((1, 1))).coeffs == (2, 3)
+    assert d.dominates(Divisor((0, 0)))
+
+
 def test_divisor_coerces_integer_like():
     d = Divisor(tuple(np.array([1, 2], dtype=np.int64)))
     assert d.coeffs == (1, 2)

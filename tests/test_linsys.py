@@ -444,6 +444,46 @@ def test_member_cache_is_bounded_and_evicts_least_recent():
         assert {d.coeffs for d in linear_system(G, D)} == brute_members(G, D.coeffs)
 
 
+def test_linear_systems_share_their_common_members(monkeypatch):
+    # a path and a cycle on six vertices at degree 7: on the tree every
+    # composition is a member, so the cycle's members are among its own
+    cycle, path = cf.cycle_graph(6), cf.path_graph(6)
+    D, E = Divisor((7, 0, 0, 0, 0, 0)), Divisor((0, 3, 0, 4, 0, 0))
+    linsys._shared_members.clear()
+    linsys._members.cache_clear()
+    on_cycle, on_path = linear_system(cycle, D), linear_system(path, E)
+    for system, G in ((on_cycle, cycle), (on_path, path)):
+        fresh = [Divisor(tuple(r)) for r in linsys._members(G, system.base).tolist()]
+        assert list(system) == fresh
+    assert len(on_path) == comb(7 + 5, 5)
+    by_coeffs = {m.coeffs: m for m in on_path}
+    assert all(by_coeffs[m.coeffs] is m for m in on_cycle)
+    # members from the walk, past the table budget, are the same objects
+    # in the same order
+    walked = []
+    real_walk = linsys._walk_members
+    monkeypatch.setattr(linsys, "_walk_members", lambda G, D: walked.append(D) or real_walk(G, D))
+    monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", 64)
+    linsys._members.cache_clear()
+    again = linear_system(cycle, D)
+    assert walked == [D]
+    assert again == on_cycle and all(a is b for a, b in zip(again, on_cycle))
+
+
+def test_shared_members_stay_within_their_cap(monkeypatch):
+    # 792 members against a cap of 100: the map is emptied as it fills,
+    # and the members are still the table rows in order
+    G, D = cf.path_graph(6), Divisor((0, 3, 0, 4, 0, 0))
+    monkeypatch.setattr(linsys, "_SHARED_MEMBERS", 100)
+    linsys._shared_members.clear()
+    system = linear_system(G, D)
+    assert list(system) == [Divisor(tuple(r)) for r in linsys._members(G, D).tolist()]
+    assert len(system) == comb(7 + 5, 5)
+    kept = len(linsys._shared_members)
+    assert kept == 792 % 100 == 92
+    assert all(linsys._shared_members[m.coeffs] is m for m in system.divisors[-kept:])
+
+
 def test_member_arrays_are_read_only():
     members = linsys._members(cf.path_graph(3), Divisor((2, 0, 0)))
     assert len(members) == 6 and not members.flags.writeable

@@ -2,6 +2,7 @@ import importlib
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 import chipfire as cf
@@ -136,6 +137,26 @@ def test_rank_under_small_element_budget(monkeypatch, budget):
         assert rank(G, coeffs) == r, (G.adj, coeffs)
         assert r.rank == brute_rank(G, coeffs)
         assert cf.toric_rank(G, coeffs, cfg) == t, (G.adj, coeffs)
+
+
+@pytest.mark.parametrize("budget, members", [(64, 20), (64, 150), (5, 7)])
+def test_dominance_blocks_match_the_broadcast(monkeypatch, budget, members):
+    # 20 members under a budget of 64 split the removals into chunks of
+    # three; 150 (and 7 under 5) pass the budget, so each chunk is one
+    # removal and its comparisons run in column blocks
+    rng = np.random.default_rng(budget + members)
+    removals = rng.integers(0, 4, size=(40, 5))
+    block = rng.integers(0, 4, size=(members, 5))
+    want = (removals[:, None, :] <= block[None, :, :]).all(axis=2)
+    monkeypatch.setattr(rank_module, "_ELEMENT_BUDGET", budget)
+    got = list(rank_module._dominance_blocks(removals, block))
+    assert len(got) == (14 if members <= budget else 40)
+    assert np.array_equal(np.vstack([chunk for chunk, _ in got]), removals)
+    assert np.array_equal(np.vstack([dom for _, dom in got]), want)
+    assert want.any() and not want.all()
+    for chunk, dom in got:
+        assert dom.shape == (len(chunk), members)
+        assert dom.size <= budget or len(chunk) == 1
 
 
 def test_verify_rr_graph_sweep():
