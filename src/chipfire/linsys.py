@@ -403,45 +403,35 @@ def _class_members(G: Multigraph, k: int, reps: np.ndarray) -> list[np.ndarray]:
     return [_walk_members(G, Divisor(tuple(r))) for r in reps.tolist()]
 
 
-def _compute_members(G: Multigraph, D: Divisor) -> np.ndarray:
-    """|D|, the one-row case of ``_class_members``."""
-    return _class_members(G, degree(D), D.as_array()[None, :])[0]
-
-
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _members(G: Multigraph, D: Divisor) -> np.ndarray:
     """The members of |D| as a read-only array, one row each in
-    lexicographic order.  Keyed by the divisor itself: equivalent
-    divisors are separate entries."""
-    arr = _compute_members(G, D)
+    lexicographic order, the one-row case of ``_class_members``.  Keyed
+    by the divisor itself: equivalent divisors are separate entries.
+    The arrays can be of any size and callers re-read only the last
+    divisor or two (D, then K - D), so few are kept."""
+    arr = _class_members(G, degree(D), D.as_array()[None, :])[0]
     arr.flags.writeable = False
     return arr
 
 
 # Member Divisors already handed out, keyed by their coefficients, so
 # that systems kept side by side hold one object for a member they have
-# in common.  The map is emptied when it reaches _SHARED_MEMBERS entries,
-# so once callers drop their systems it keeps at most that many Divisors
-# alive: about 12 MB on eight vertices.
-_SHARED_MEMBERS = 1 << 16
-_shared_members: dict[tuple[int, ...], Divisor] = {}
+# in common.  The least recently used is dropped first, so once callers
+# drop their systems at most maxsize Divisors stay alive: about 19 MB on
+# eight vertices, the cache's own links included.
+@lru_cache(maxsize=1 << 16)
+def _member(coeffs: tuple[int, ...]) -> Divisor:
+    return _divisor_from_ints(coeffs)
 
 
 def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
     """All effective divisors linearly equivalent to D, or empty.
 
     A member that an earlier call returned comes back as the same
-    Divisor while ``_shared_members`` holds it."""
+    Divisor while the ``_member`` cache holds it."""
     D = _coerce_divisor(D, G.n)
-    divisors = []
-    for row in map(tuple, _members(G, D).tolist()):
-        div = _shared_members.get(row)
-        if div is None:
-            if len(_shared_members) >= _SHARED_MEMBERS:
-                _shared_members.clear()
-            div = _shared_members[row] = _divisor_from_ints(row)
-        divisors.append(div)
-    return LinearSystem(D, tuple(divisors))
+    return LinearSystem(D, tuple(map(_member, map(tuple, _members(G, D).tolist()))))
 
 
 def is_effective_equivalent(G: Multigraph, D: DivisorLike) -> bool:

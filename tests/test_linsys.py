@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import comb
 
@@ -285,7 +286,7 @@ def test_walk_under_small_element_budget(monkeypatch, budget):
         (cf.complete_graph(4), (3, 0, -1, 2)),
         (cf.path_graph(3), (0, 0, -1)),
     ]
-    expected = [linsys._compute_members(G, Divisor(c)) for G, c in cases]
+    expected = [linsys._members.__wrapped__(G, Divisor(c)) for G, c in cases]
     monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", budget)
     for (G, c), want in zip(cases, expected):
         got = linsys._walk_members(G, Divisor(c))
@@ -305,7 +306,7 @@ def _assert_same_rows(got, want):
 def test_member_filter_matches_walk_on_random_multigraphs(case):
     G, coeffs = case
     D = Divisor(coeffs)
-    _assert_same_rows(linsys._compute_members(G, D), linsys._walk_members(G, D))
+    _assert_same_rows(linsys._members.__wrapped__(G, D), linsys._walk_members(G, D))
 
 
 def test_member_filter_matches_walk_on_tree_windows():
@@ -334,7 +335,7 @@ def test_batch_read_matches_single_reads_and_copies():
     assert len(batch) == len(reps) > 20
     for row, members in zip(reps.tolist(), batch):
         D = Divisor(tuple(row))
-        _assert_same_rows(members, linsys._compute_members(G, D))
+        _assert_same_rows(members, linsys._members.__wrapped__(G, D))
         _assert_same_rows(members, linsys._walk_members(G, D))
         assert members.base is None
     assert [len(m) for m in linsys._class_members(G, 3, reps[:0])] == []
@@ -346,10 +347,10 @@ def test_member_paths_switch_at_the_element_budget(monkeypatch):
     real_walk = linsys._walk_members
     monkeypatch.setattr(linsys, "_walk_members", lambda G, D: walked.append(D) or real_walk(G, D))
     monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", 140)
-    by_filter = linsys._compute_members(G, D)
+    by_filter = linsys._members.__wrapped__(G, D)
     assert walked == []
     monkeypatch.setattr(linsys, "_ELEMENT_BUDGET", 139)
-    by_walk = linsys._compute_members(G, D)
+    by_walk = linsys._members.__wrapped__(G, D)
     assert walked == [D]
     _assert_same_rows(by_filter, by_walk)
     assert {tuple(r) for r in by_walk.tolist()} == brute_members(G, D.coeffs)
@@ -363,7 +364,7 @@ def test_member_filter_falls_back_to_walk_on_overflow(monkeypatch):
     E = apply_firing(G, D, (1, 0, 0, 0, 0))
     want = linsys._walk_members(G, D)
     monkeypatch.setattr(linsys, "_class_data", overflow)
-    _assert_same_rows(linsys._compute_members(G, D), want)
+    _assert_same_rows(linsys._members.__wrapped__(G, D), want)
     for members in linsys._class_members(G, cf.degree(D), np.array([D.coeffs, E.coeffs])):
         _assert_same_rows(members, want)
     with pytest.raises(OverflowError):
@@ -384,7 +385,7 @@ def test_member_filter_keys_past_the_int64_product_bound(monkeypatch):
     assert keys.tolist() == [[2 * int(rows[0, 0]), 2]] * 2
     want = linsys._walk_members(G, D)
     monkeypatch.setattr(linsys, "_walk_members", None)  # the table must answer
-    _assert_same_rows(linsys._compute_members(G, D), want)
+    _assert_same_rows(linsys._members.__wrapped__(G, D), want)
 
 
 def test_class_data_remembers_an_overflowing_graph(monkeypatch):
@@ -429,19 +430,35 @@ def test_linear_system_and_rr_on_random_multigraphs(case):
 
 def test_member_cache_is_bounded_and_evicts_least_recent():
     G = cf.cycle_graph(3)
-    divisors = [Divisor(c) for c in itertools.product(range(7), repeat=3)]  # 343 > 256
+    divisors = [Divisor(c) for c in itertools.product(range(4), repeat=3)]  # 64 > 8
     linsys._members.cache_clear()
     first = [linear_system(G, D).divisors for D in divisors[:5]]
     for D in divisors:
         linear_system(G, D)
     info = linsys._members.cache_info()
-    assert info.maxsize == 256 and info.currsize == 256
+    assert info.maxsize == 8 and info.currsize == 8
     assert info.misses == len(divisors) and info.hits == 5
     # the first divisors were evicted: asking again recomputes the same sets
     assert [linear_system(G, D).divisors for D in divisors[:5]] == first
     assert linsys._members.cache_info().misses == len(divisors) + 5
-    for D in divisors[::17]:
+    for D in divisors[::5]:
         assert {d.coeffs for d in linear_system(G, D)} == brute_members(G, D.coeffs)
+
+
+def test_rank_toric_rank_and_linear_system_share_one_read_of_each_system():
+    # D and K - D each cost one miss, however many callers read them
+    G, D = cf.complete_graph(4), Divisor((1, 1, 0, 1))
+    dual = cf.canonical_divisor(G) - D
+    linsys._members.cache_clear()
+    for E in (D, dual):
+        linear_system(G, E)
+        cf.rank(G, E)
+        cf.toric_rank(G, E)
+    info = linsys._members.cache_info()
+    assert info.misses == 2 and info.hits == 4
+    first, again = linear_system(G, D), linear_system(G, D)
+    assert len(first) > 1 and first.divisors == again.divisors
+    assert all(a is b for a, b in zip(first, again))
 
 
 def test_linear_systems_share_their_common_members(monkeypatch):
@@ -449,7 +466,7 @@ def test_linear_systems_share_their_common_members(monkeypatch):
     # composition is a member, so the cycle's members are among its own
     cycle, path = cf.cycle_graph(6), cf.path_graph(6)
     D, E = Divisor((7, 0, 0, 0, 0, 0)), Divisor((0, 3, 0, 4, 0, 0))
-    linsys._shared_members.clear()
+    linsys._member.cache_clear()
     linsys._members.cache_clear()
     on_cycle, on_path = linear_system(cycle, D), linear_system(path, E)
     for system, G in ((on_cycle, cycle), (on_path, path)):
@@ -471,17 +488,20 @@ def test_linear_systems_share_their_common_members(monkeypatch):
 
 
 def test_shared_members_stay_within_their_cap(monkeypatch):
-    # 792 members against a cap of 100: the map is emptied as it fills,
-    # and the members are still the table rows in order
+    # the member cache is bounded; under a cap of 100 against 792 members
+    # it keeps the last 100, and the members are still the table rows in
+    # order
+    assert linsys._member.cache_parameters()["maxsize"] == 1 << 16
     G, D = cf.path_graph(6), Divisor((0, 3, 0, 4, 0, 0))
-    monkeypatch.setattr(linsys, "_SHARED_MEMBERS", 100)
-    linsys._shared_members.clear()
+    small = functools.lru_cache(maxsize=100)(linsys._member.__wrapped__)
+    monkeypatch.setattr(linsys, "_member", small)
     system = linear_system(G, D)
     assert list(system) == [Divisor(tuple(r)) for r in linsys._members(G, D).tolist()]
-    assert len(system) == comb(7 + 5, 5)
-    kept = len(linsys._shared_members)
-    assert kept == 792 % 100 == 92
-    assert all(linsys._shared_members[m.coeffs] is m for m in system.divisors[-kept:])
+    assert len(system) == comb(7 + 5, 5) == 792
+    info = small.cache_info()
+    assert info.currsize == 100 and info.misses == 792
+    assert all(small(m.coeffs) is m for m in system.divisors[-100:])
+    assert small.cache_info().hits == 100
 
 
 def test_member_arrays_are_read_only():

@@ -31,10 +31,29 @@ def test_every_lru_cache_is_bounded():
     }
     assert {
         "chipfire.linsys._members",
+        "chipfire.linsys._member",
         "chipfire.linsys._class_data",
         "chipfire.linsys._compositions_array",
     } <= caches.keys()
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_no_module_keeps_a_mutable_container():
+    # a module-level dict, list or set is a cache or registry that nothing
+    # bounds; caches are bounded lru_caches instead (the interpreter's own
+    # dunder names, such as __builtins__, and __all__ aside)
+    import chipfire.cli  # noqa: F401  (every module but __main__ is loaded)
+
+    found = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name.startswith("chipfire.")
+        for attr, value in vars(module).items()
+        if isinstance(value, (dict, list, set))
+        and not (attr.startswith("__") and attr.endswith("__"))
+    ]
+    assert "chipfire.linsys" in sys.modules
+    assert found == []
 
 
 def test_public_names_are_declared_once_in_their_modules():
