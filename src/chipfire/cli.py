@@ -41,9 +41,16 @@ from .toric import _TORIC_MODES, ToricMemo, toric_rank
 __all__ = ["main", "run"]
 
 
+# divisors and adjacency matrices go through int64 arrays
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
 def _load_graph(path: str) -> Multigraph:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"graph file {path} is not UTF-8 text")
     if isinstance(data, dict):
         if "adj" not in data:
             raise ConfigError(f"graph file {path} has no 'adj' key")
@@ -56,6 +63,8 @@ def _load_graph(path: str) -> Multigraph:
         raise ConfigError(f"graph file {path}: adjacency must be a list of rows")
     if isinstance(data, dict) and "n" in data and data["n"] != len(adj):
         raise ConfigError(f"graph file {path}: 'n'={data['n']} but adjacency has {len(adj)} rows")
+    if any(isinstance(v, int) and v not in _INT64 for row in adj for v in row):
+        raise ConfigError(f"graph file {path}: adjacency entry outside the int64 range")
     return Multigraph.from_adjacency(adj)
 
 
@@ -66,6 +75,8 @@ def _parse_divisor(text: str, n: int) -> Divisor:
         raise ConfigError(f"divisor {text!r} is not a comma-separated integer list")
     if len(coeffs) != n:
         raise ConfigError(f"divisor has {len(coeffs)} entries, graph has {n} vertices")
+    if any(c not in _INT64 for c in coeffs):
+        raise ConfigError(f"divisor {text!r} has an entry outside the int64 range")
     return Divisor(coeffs)
 
 

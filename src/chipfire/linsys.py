@@ -17,8 +17,7 @@ to D, computed exactly in one of two ways:
    form per graph, so a read costs one key product over the table:
    O(C(d + n - 1, n - 1) * n * k) for k nontrivial invariant factors,
    plus the sort for a batch.
-2. Walk.  Above the budget, or when an invariant factor of the
-   Laplacian passes 2^62, Baker-Norine's greedy algorithm first finds
+2. Walk.  Above the budget, Baker-Norine's greedy algorithm first finds
    one effective representative or proves there is none: a vertex in
    debt borrows, and D is unwinnable once every vertex has borrowed
    (negative degree is rejected up front).  Breadth-first search from
@@ -37,7 +36,6 @@ Both give the same array, row for row.  All arithmetic is on integers.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -96,7 +94,7 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # test cheap: y is in im(L) iff (U y)_i is divisible by S_ii (rows with
 # S_ii = 0 must vanish exactly).  The tuple of residues is a complete
 # invariant of the divisor class; ``_class_codes`` folds it and the
-# degree into one int64 per divisor.  The experiment drivers group
+# degree into one integer per divisor.  The experiment drivers group
 # divisors by that code and solve each class once; the exhaustive one's
 # rank recursion over classes finds the children c - e_v of a class by
 # coding those representatives here too.  ``_class_members`` reads |c|
@@ -109,10 +107,11 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 # has entries past 2^40.  On a connected graph the one row with S_ii = 0
 # is +-(1, ..., 1), so a row of ones takes its place and the last key
 # entry is the degree.  Factors themselves pass 2^40 on some 16-vertex
-# graphs, so the int64 bound is checked per batch, on the product that
-# can overflow, and a batch past it is keyed over Python ints.  Only the
-# key is derived; no reduced representative divisor is ever produced or
-# exposed.
+# graphs and 2^62 on some 24-vertex ones, so the int64 bound is checked
+# per batch, on the products that can overflow, and a batch past it is
+# keyed and coded over Python ints; every graph gets exact codes.  Only
+# the key is derived; no reduced representative divisor is ever
+# produced or exposed.
 
 
 def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -179,63 +178,57 @@ def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
 
 
 @lru_cache(maxsize=256)
-def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray] | None:
+def _class_data(G: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     """The key rows and the invariant factors above 1, both read-only:
     the rows of U for those factors, reduced mod their factor, then a
-    row of ones, which keys the degree.  None when a factor passes
-    2^62, so the cache keeps that too."""
+    row of ones, which keys the degree.  Both hold Python ints (dtype
+    object) when a factor passes 2^62, int64 otherwise."""
     U, diag = _snf_left(laplacian(G).tolist())
     kept = [(tuple(x % s for x in row), s) for row, s in zip(U, diag) if s > 1]
-    if any(s >= 1 << 62 for _, s in kept):
-        return None
-    rows = np.array([row for row, _ in kept] + [(1,) * G.n], dtype=np.int64)
-    moduli = np.array([s for _, s in kept], dtype=np.int64)
+    dtype = object if any(s >= 1 << 62 for _, s in kept) else np.int64
+    rows = np.array([row for row, _ in kept] + [(1,) * G.n], dtype=dtype)
+    moduli = np.array([s for _, s in kept], dtype=dtype)
     rows.flags.writeable = moduli.flags.writeable = False
     return rows, moduli
 
 
 def _class_keys_batch(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
-    """Class keys for an (m, n) array of divisors, one int64 key row each:
-    the residues mod the invariant factors, then the degree.
+    """Class keys for an (m, n) array of divisors, one key row each: the
+    residues mod the invariant factors, then the degree.
 
     Each key entry is a sum of n products of a divisor entry and a key
     row entry, so int64 holds it while max|U| * n * max|D| < 2^63.  Past
     that the products are taken over Python ints and reduced before the
     cast; the residues are below their factor, so the keys fit int64
-    again.  Raises OverflowError only when a factor itself passes 2^62.
+    again.  Where a factor passes 2^62 the keys stay Python ints.
     """
-    data = _class_data(G)
-    if data is None:
-        raise OverflowError("invariant factor of the Laplacian past 2^62")
-    U, moduli = data
+    U, moduli = _class_data(G)
     divisors = np.asarray(divisors, dtype=np.int64)
     largest = max(int(divisors.max(initial=0)), -int(divisors.min(initial=0)))
-    if int(np.abs(U).max()) * G.n * largest < 1 << 63:
+    if U.dtype == np.int64 and int(np.abs(U).max()) * G.n * largest < 1 << 63:
         keys = divisors @ U.T
     else:
         keys = divisors.astype(object) @ U.T.astype(object)
     keys[:, :-1] %= moduli
-    return keys.astype(np.int64, copy=False)
+    return keys.astype(moduli.dtype, copy=False)
 
 
 def _class_codes(G: Multigraph, divisors: np.ndarray) -> np.ndarray:
-    """One class code per row of an (m, n) array of divisors; two rows of
-    one batch get equal codes iff they are equivalent.
+    """One class code per row of an (m, n) array of divisors; two rows
+    get equal codes iff they are equivalent.
 
-    The code is an int64: the key row read in mixed radix, with place
-    values 1, s_1, s_1 s_2, ..., kappa over the invariant factors s_i,
-    whose product kappa(G) is the number of spanning trees (Kirchhoff),
-    so the degree is the top digit.  Where kappa(G) times (the largest
-    |degree| + 1) passes 2^63 the codes are the key rows themselves, as
-    opaque void values (``_row_keys``).  Both kinds sort, compare and
-    hash, so np.unique and dicts group by them; codes of two batches
-    compare only when both are of one kind, as batches of one degree
-    always are.
+    The code is the key row read in mixed radix, with place values 1,
+    s_1, s_1 s_2, ..., kappa over the invariant factors s_i, whose
+    product kappa(G) is the number of spanning trees (Kirchhoff), so the
+    degree is the top digit.  It is an int64 while kappa(G) times (the
+    largest |degree| + 1) stays below 2^63, else a Python int (dtype
+    object) of the same value.  Both sort, compare and hash, so
+    np.unique and dicts group by them, across batches too.
     """
     keys = _class_keys_batch(G, divisors)
     places = list(accumulate(_class_data(G)[1].tolist(), mul, initial=1))
     if places[-1] * (int(np.abs(keys[:, -1]).max(initial=0)) + 1) >= 1 << 63:
-        return _row_keys(keys)
+        return keys.astype(object) @ np.array(places, dtype=object)
     return keys @ np.array(places, dtype=np.int64)
 
 
@@ -382,24 +375,23 @@ def _class_members(G: Multigraph, k: int, reps: np.ndarray) -> list[np.ndarray]:
     """|c| for each row c of an (m, n) array of divisors of degree k,
     each a new array in lexicographic order.
 
-    While the composition table of k fits the element budget and G has
-    class keys, |c| is the rows of that table with c's class code: a
-    mask for one row (a sort makes a single read about 40% dearer),
-    else one stable sort of the table's codes, so a batch costs no mask
-    per class.  Otherwise each |c| comes from the walk.
+    While the composition table of k fits the element budget, |c| is
+    the rows of that table with c's class code: a mask for one row (a
+    sort makes a single read about 40% dearer), else one stable sort of
+    the table's codes, so a batch costs no mask per class.  Otherwise
+    each |c| comes from the walk.
     """
     n = G.n
     if len(reps) and k >= 0 and comb(k + n - 1, n - 1) * n <= _ELEMENT_BUDGET:
-        with suppress(OverflowError):
-            comps = _compositions_array(n, k)
-            codes, wanted = _class_codes(G, comps), _class_codes(G, reps)
-            if len(reps) == 1:
-                return [comps[codes == wanted[0]]]
-            order = np.argsort(codes, kind="stable")
-            codes = codes[order]
-            lo = np.searchsorted(codes, wanted, "left").tolist()
-            hi = np.searchsorted(codes, wanted, "right").tolist()
-            return [comps[order[a:b]] for a, b in zip(lo, hi)]
+        comps = _compositions_array(n, k)
+        codes, wanted = _class_codes(G, comps), _class_codes(G, reps)
+        if len(reps) == 1:
+            return [comps[codes == wanted[0]]]
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        lo = np.searchsorted(codes, wanted, "left").tolist()
+        hi = np.searchsorted(codes, wanted, "right").tolist()
+        return [comps[order[a:b]] for a, b in zip(lo, hi)]
     return [_walk_members(G, Divisor(tuple(r))) for r in reps.tolist()]
 
 
@@ -429,9 +421,13 @@ def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
     """All effective divisors linearly equivalent to D, or empty.
 
     A member that an earlier call returned comes back as the same
-    Divisor while the ``_member`` cache holds it."""
+    Divisor while the ``_member`` cache holds it.  A system with more
+    members than that cache holds builds its own, so it neither evicts
+    one entry per member nor flushes what smaller systems share."""
     D = _coerce_divisor(D, G.n)
-    return LinearSystem(D, tuple(map(_member, map(tuple, _members(G, D).tolist()))))
+    rows = _members(G, D).tolist()
+    shared = len(rows) <= _member.cache_parameters()["maxsize"]
+    return LinearSystem(D, tuple(map(_member if shared else _divisor_from_ints, map(tuple, rows))))
 
 
 def is_effective_equivalent(G: Multigraph, D: DivisorLike) -> bool:

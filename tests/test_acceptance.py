@@ -171,6 +171,9 @@ def test_criterion_4_toric_rr_genus_one():
                     violations += 1
                 if d == 1 and rt != 0:
                     violations += 1
+                # closed form max(deg E - g, -1), for E = D and K - D
+                if (rt, rt_dual) != (max(d - 1, -1), max(-d - 1, -1)):
+                    violations += 1
                 cases += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and len(graphs) == 12 and cases == 33165 and elapsed < 300

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import json
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +111,27 @@ def test_bad_divisor_text(c4_file, capsys):
 def test_divisor_length_mismatch(c4_file, capsys):
     assert main(["rank", "--graph", c4_file, "--divisor", "1,0"]) == 2
     assert "4 vertices" in capsys.readouterr().err
+
+
+def test_graph_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe[[0,1],[1,0]]")
+    assert main(["rank", "--graph", str(path), "--divisor", "1,0"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_divisor_entry_past_int64(c4_file, capsys):
+    assert main(["rank", "--graph", c4_file, "--divisor", f"{1 << 63},0,0,0"]) == 2
+    assert "int64" in capsys.readouterr().err
+    assert main(["rank", "--graph", c4_file, f"--divisor={-(1 << 63) - 1},0,0,{1 << 63}"]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
+def test_adjacency_entry_past_int64(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"adj": [[0, 1 << 63], [1 << 63, 0]]}))
+    assert main(["rank", "--graph", str(path), "--divisor", "1,0"]) == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_graph_n_mismatch(tmp_path, capsys):
@@ -467,3 +490,21 @@ def test_sweep_without_out_builds_no_records(tmp_path, capsys, monkeypatch):
         for rec in cases
     ]
     assert eager == written
+
+
+def test_readme_cli_block_prints_what_it_says(tmp_path, capsys, monkeypatch):
+    # "$ cat c4.json" writes the line below it to the file; every
+    # "$ chipfire ..." line must print the line below it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line, after in zip(lines, lines[1:]):
+        if line == "$ cat c4.json":
+            (tmp_path / "c4.json").write_text(after + "\n")
+        elif line.startswith("$ chipfire "):
+            assert main(shlex.split(line)[2:]) == 0, line
+            assert capsys.readouterr().out == after + "\n", line
+            ran += 1
+    assert ran == 4

@@ -554,18 +554,35 @@ def test_exhaustive_sweep_keys_each_degree_table_once(monkeypatch):
 
 
 def test_exhaustive_sweep_groups_by_key_rows_past_the_int64_bound(monkeypatch, tmp_path):
-    # graphs whose kappa(G) times the degree passes 2^63 group by void key
-    # rows; forcing that path everywhere must leave the report unchanged
+    # graphs whose kappa(G) times the degree passes 2^63 get Python-int
+    # codes; forcing them, or the key rows themselves as opaque values,
+    # everywhere must leave the report unchanged
     cfg = _tiny_exhaustive(genus_max=3, max_multiplicity=2)
-    paths = [tmp_path / "codes.csv", tmp_path / "keys.csv"]
-    run_exhaustive(dataclasses.replace(cfg, output_path=str(paths[0]), output_format="csv"))
-    # the recursion codes its batches, and linsys the composition tables
-    for module in (experiments, linsys):
-        monkeypatch.setattr(
-            module,
-            "_class_codes",
-            lambda G, rows: linsys._row_keys(linsys._class_keys_batch(G, rows)),
-        )
-    report = run_exhaustive(dataclasses.replace(cfg, output_path=str(paths[1]), output_format="csv"))
-    assert report.case_count > 1000 and report.violation_count == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    real = linsys._class_codes
+    forced = {
+        "ints": lambda G, rows: real(G, rows).astype(object),
+        "keys": lambda G, rows: linsys._row_keys(linsys._class_keys_batch(G, rows)),
+    }
+    path = tmp_path / "codes.csv"
+    run_exhaustive(dataclasses.replace(cfg, output_path=str(path), output_format="csv"))
+    for name, codes in forced.items():
+        # the recursion codes its batches, and linsys the composition tables
+        for module in (experiments, linsys):
+            monkeypatch.setattr(module, "_class_codes", codes)
+        out = tmp_path / f"{name}.csv"
+        report = run_exhaustive(dataclasses.replace(cfg, output_path=str(out), output_format="csv"))
+        assert report.case_count > 1000 and report.violation_count == 0
+        assert out.read_bytes() == path.read_bytes()
+
+
+def test_class_recursion_groups_classes_past_the_int64_factor_bound():
+    # an invariant factor of this graph passes 2^63, so its class codes
+    # are Python ints; the recursion groups and solves its classes as on
+    # any other graph
+    G = cf.random_connected_graph(24, 0)
+    assert linsys._class_codes(G, np.zeros((1, 24), dtype=np.int64)).dtype == object
+    eye = np.eye(24, dtype=np.int64)
+    L = cf.laplacian(G)
+    reps = np.vstack([2 * eye[0], 2 * eye[0] + L[:, 3], eye[0] + eye[1], eye[5], eye[0] - eye[1]])
+    got = experiments._recurse_classes(G, None, reps)[:, 0].tolist()
+    assert got == [cf.rank(G, Divisor(tuple(r))).rank for r in reps.tolist()] == [0, 0, 0, 0, -1]

@@ -233,20 +233,28 @@ def test_class_codes_group_like_class_keys(case):
     assert codes.dtype == np.int64
 
 
-def test_class_codes_fall_back_to_key_rows_past_the_int64_bound():
-    # kappa(K_20) = 20^18 > 2^63: every batch is grouped by its key rows
+def test_class_codes_are_python_ints_past_the_int64_bound():
+    # kappa(K_20) = 20^18 > 2^63: every batch is coded over Python ints,
+    # in the same mixed radix
     G = cf.complete_graph(20)
     assert linsys._class_data(G)[1].tolist() == [20] * 18
     rows = _shifted_rows(G, (2, -1) + (0,) * 17 + (1,))
-    assert linsys._class_codes(G, rows).dtype.kind == "V"
-    _assert_codes_group_like_keys(G, rows)
+    codes = _assert_codes_group_like_keys(G, rows)
+    assert codes.dtype == object and {type(c) for c in codes} == {int}
+    keys = linsys._class_keys_batch(G, rows).tolist()
+    assert codes.tolist() == [sum(k * 20**i for i, k in enumerate(key)) for key in keys]
     # kappa = 2 * 3,588,816,650,934 here: small degrees get int64 codes,
-    # degree 10^7 passes the bound
+    # degree 10^7 passes the bound; codes of both batches compare
     H = cf.random_connected_graph(16, 3)
     small = _shifted_rows(H, (3, 0, 1, 2) * 4)
-    assert _assert_codes_group_like_keys(H, small).dtype == np.int64
+    low = _assert_codes_group_like_keys(H, small)
+    assert low.dtype == np.int64
     big = small + np.eye(16, dtype=np.int64)[0] * 10**7
-    assert _assert_codes_group_like_keys(H, big).dtype.kind == "V"
+    high = _assert_codes_group_like_keys(H, big)
+    assert high.dtype == object
+    assert not np.isin(low, high).any()
+    both = linsys._class_codes(H, np.vstack([small, big]))
+    assert both.tolist() == low.tolist() + high.tolist()
 
 
 def test_is_effective_equivalent():
@@ -356,19 +364,34 @@ def test_member_paths_switch_at_the_element_budget(monkeypatch):
     assert {tuple(r) for r in by_walk.tolist()} == brute_members(G, D.coeffs)
 
 
-def test_member_filter_falls_back_to_walk_on_overflow(monkeypatch):
-    def overflow(G):
-        raise OverflowError("invariant factor of the Laplacian past 2^62")
+def _fat_triangle(m):
+    """The triangle with every edge m-fold: invariant factors m and 3m."""
+    return cf.Multigraph.from_adjacency([[0, m, m], [m, 0, m], [m, m, 0]])
 
-    G, D = cf.cycle_graph(5), Divisor((2, 0, 1, -1, 1))
-    E = apply_firing(G, D, (1, 0, 0, 0, 0))
-    want = linsys._walk_members(G, D)
-    monkeypatch.setattr(linsys, "_class_data", overflow)
-    _assert_same_rows(linsys._members.__wrapped__(G, D), want)
-    for members in linsys._class_members(G, cf.degree(D), np.array([D.coeffs, E.coeffs])):
-        _assert_same_rows(members, want)
-    with pytest.raises(OverflowError):
-        linsys._class_codes(G, D.as_array()[None, :])
+
+def test_member_table_answers_on_every_graph_and_matches_walk(monkeypatch):
+    # multigraphs whose walk is cheap: one with int64 codes, one with an
+    # invariant factor past 2^62 (2^62 + 1 parallel edges), one with
+    # factors 2^61 and 3 * 2^61, and one with int64 keys but kappa =
+    # 3 * 2^62 > 2^63
+    cases = [
+        (cf.cycle_graph(5), (2, 0, 1, -1, 1), np.int64),
+        (cf.Multigraph.from_adjacency([[0, (1 << 62) + 1], [(1 << 62) + 1, 0]]), (2, 0), object),
+        (_fat_triangle(1 << 61), (2, 0, 1), object),
+        (_fat_triangle(1 << 31), (1, 2, 0), object),
+    ]
+    wanted = [linsys._walk_members(G, Divisor(coeffs)) for G, coeffs, _ in cases]
+    monkeypatch.setattr(linsys, "_walk_members", None)  # the table must answer
+    for (G, coeffs, code_type), want in zip(cases, wanted):
+        D = Divisor(coeffs)
+        E = apply_firing(G, D, (1,) + (0,) * (G.n - 1))
+        assert len(want) > 0
+        _assert_same_rows(linsys._members.__wrapped__(G, D), want)
+        for members in linsys._class_members(G, cf.degree(D), np.array([D.coeffs, E.coeffs])):
+            _assert_same_rows(members, want)
+        codes = linsys._class_codes(G, np.array([D.coeffs, E.coeffs, (D + D).coeffs]))
+        assert codes.dtype == code_type
+        assert codes[0] == codes[1] != codes[2]
 
 
 def test_member_filter_keys_past_the_int64_product_bound(monkeypatch):
@@ -393,19 +416,27 @@ def test_class_data_remembers_an_overflowing_graph(monkeypatch):
     real_snf = linsys._snf_left
     monkeypatch.setattr(linsys, "_snf_left", lambda M: calls.append(1) or real_snf(M))
     linsys._class_data.cache_clear()
-    G = cf.random_connected_graph(24, 0)  # an invariant factor past 2^62
+    linsys._members.cache_clear()
+    G = cf.random_connected_graph(24, 0)  # an invariant factor past 2^63
+    rows, moduli = linsys._class_data(G)
+    assert rows.dtype == moduli.dtype == object and moduli.max() >= 1 << 63
     D = Divisor((2,) + (0,) * 23)
-    # the walk over 2^24 subset firings is too slow here; only the
-    # fallback to it counts
-    walked = []
-    no_walk = lambda G, D: walked.append(D) or np.empty((0, G.n), dtype=np.int64)  # noqa: E731
-    monkeypatch.setattr(linsys, "_walk_members", no_walk)
+    # the walk over 2^24 subset firings is too slow here; the table answers
+    monkeypatch.setattr(linsys, "_walk_members", None)
     for _ in range(2):
-        linsys._class_members(G, cf.degree(D), D.as_array()[None, :])
-        with pytest.raises(OverflowError):
-            linsys._class_codes(G, D.as_array()[None, :])
-    assert walked == [D, D]
+        assert linear_system(G, D).divisors == (D,)
+        linsys._members.cache_clear()
     assert len(calls) == 1
+    # D, its firings, and the unit divisors: np.unique groups the codes
+    L = cf.laplacian(G)
+    eye = np.eye(24, dtype=np.int64)
+    fired = D.as_array() + L @ eye
+    codes = linsys._class_codes(G, np.vstack([D.as_array(), fired, eye]))
+    assert len(calls) == 1
+    _, classes = np.unique(codes, return_inverse=True)
+    assert (classes[: 1 + 24] == classes[0]).all()
+    assert len(set(classes[1 + 24 :].tolist())) == 24
+    assert classes[0] not in classes[1 + 24 :]
     linsys._class_data.cache_clear()
 
 
@@ -424,8 +455,14 @@ def test_linear_system_and_rr_on_random_multigraphs(case):
     assert {d.coeffs for d in linear_system(G, coeffs)} == expected
     assert verify_rr_graph(G, coeffs)
     memo = cf.ToricMemo(G, cf.ToricConfig())
-    assert cf.toric_rank(G, coeffs, memo=memo).rank <= cf.rank(G, coeffs).rank
+    toric = cf.toric_rank(G, coeffs, memo=memo).rank
+    assert toric <= cf.rank(G, coeffs).rank
     assert cf.verify_rr_toric(G, coeffs, memo=memo)
+    # the closed form max(deg E - g, -1), for E = D and K - D; K - D reads
+    # the verdicts verify_rr_toric left in the memo
+    g, dual = cf.genus(G), cf.canonical_divisor(G) - Divisor(coeffs)
+    assert toric == max(sum(coeffs) - g, -1)
+    assert cf.toric_rank(G, dual, memo=memo).rank == max(cf.degree(dual) - g, -1)
 
 
 def test_member_cache_is_bounded_and_evicts_least_recent():
@@ -487,21 +524,42 @@ def test_linear_systems_share_their_common_members(monkeypatch):
     assert again == on_cycle and all(a is b for a, b in zip(again, on_cycle))
 
 
-def test_shared_members_stay_within_their_cap(monkeypatch):
-    # the member cache is bounded; under a cap of 100 against 792 members
-    # it keeps the last 100, and the members are still the table rows in
-    # order
+def _small_member_cache(monkeypatch):
     assert linsys._member.cache_parameters()["maxsize"] == 1 << 16
-    G, D = cf.path_graph(6), Divisor((0, 3, 0, 4, 0, 0))
     small = functools.lru_cache(maxsize=100)(linsys._member.__wrapped__)
     monkeypatch.setattr(linsys, "_member", small)
-    system = linear_system(G, D)
-    assert list(system) == [Divisor(tuple(r)) for r in linsys._members(G, D).tolist()]
-    assert len(system) == comb(7 + 5, 5) == 792
+    return small
+
+
+def test_shared_members_stay_within_their_cap(monkeypatch):
+    # the member cache is bounded; under a cap of 100, systems of 56 and
+    # 70 members fill it and the least recent are evicted, and the
+    # members are still the table rows in order
+    small = _small_member_cache(monkeypatch)
+    P5, P6 = cf.path_graph(5), cf.path_graph(6)
+    first = linear_system(P6, (3, 0, 0, 0, 0, 0))
+    second = linear_system(P5, (0, 4, 0, 0, 0))
+    for system, G in ((first, P6), (second, P5)):
+        assert list(system) == [Divisor(tuple(r)) for r in linsys._members(G, system.base).tolist()]
+    assert (len(first), len(second)) == (comb(3 + 5, 5), comb(4 + 4, 4)) == (56, 70)
     info = small.cache_info()
-    assert info.currsize == 100 and info.misses == 792
-    assert all(small(m.coeffs) is m for m in system.divisors[-100:])
-    assert small.cache_info().hits == 100
+    assert info.currsize == 100 and info.misses == 126
+    assert all(small(m.coeffs) is m for m in second)
+    assert small.cache_info().hits == 70
+
+
+def test_systems_past_the_member_cap_leave_the_shared_members_alone(monkeypatch):
+    # 792 members against a cap of 100: the system builds its own
+    # Divisors, so the 70 members of a small system stay shared
+    small = _small_member_cache(monkeypatch)
+    G, D = cf.path_graph(5), Divisor((0, 4, 0, 0, 0))
+    before = linear_system(G, D)
+    big = linear_system(cf.path_graph(6), (0, 3, 0, 4, 0, 0))
+    assert len(big) == comb(7 + 5, 5) == 792
+    assert list(big) == [Divisor(tuple(r)) for r in linsys._members(cf.path_graph(6), big.base).tolist()]
+    assert small.cache_info().misses == small.cache_info().currsize == 70
+    again = linear_system(G, D)
+    assert len(again) == 70 and all(a is b for a, b in zip(again, before))
 
 
 def test_member_arrays_are_read_only():

@@ -529,6 +529,32 @@ def test_toric_rank_on_cycles():
         assert cf.rank(G, Divisor.zero(k)).rank == 0
 
 
+def _spread(n, d):
+    """d chips spread as evenly as possible, the first vertices first."""
+    return tuple(d // n + (v < d % n) for v in range(n))
+
+
+def test_toric_rank_closed_form_past_brute_force_reach():
+    # toric_rank(E) = max(deg E - g, -1) for E = D and K - D, with D spread
+    # out or on one vertex: K6 (genus 10) at degrees 8..12, and random
+    # 8-vertex graphs of genus 1, 3, 5 and 7 at degrees g - 1..g + 1
+    cases = [(cf.complete_graph(6), range(8, 13))]
+    for seed, g in ((28, 1), (5, 3), (9, 5), (3, 7)):
+        G = cf.random_connected_graph(8, seed)
+        assert cf.genus(G) == g
+        cases.append((G, range(g - 1, g + 2)))
+    checked = 0
+    for G, degrees in cases:
+        g, K = cf.genus(G), cf.canonical_divisor(G)
+        memo = cf.ToricMemo(G, cf.ToricConfig())
+        for d in degrees:
+            for D in (Divisor(_spread(G.n, d)), Divisor((d,) + (0,) * (G.n - 1))):
+                for E in (D, K - D):
+                    assert toric_rank(G, E, memo=memo).rank == max(cf.degree(E) - g, -1), (G.adj, E)
+                    checked += 1
+    assert checked == 68
+
+
 def test_toric_rank_negative_degree():
     G = cf.cycle_graph(3)
     out = toric_rank(G, (-1, 0, 0))
