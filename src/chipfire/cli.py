@@ -34,14 +34,15 @@ from .experiments import (
     run_exhaustive,
     run_random_sweep,
 )
-from .graphs import Divisor, InvalidGraphError, Multigraph, PlacementError
+from .graphs import Divisor, InvalidGraphError, Multigraph, PlacementError, canonical_divisor
 from .rank import _rr_residual, rank
 from .toric import _TORIC_MODES, ToricMemo, toric_rank
 
 __all__ = ["main", "run"]
 
 
-# divisors and adjacency matrices go through int64 arrays
+# divisors go through int64 arrays, and rank reads their degree as one;
+# Multigraph bounds vertex degrees, and so adjacency entries, itself
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
@@ -63,8 +64,6 @@ def _load_graph(path: str) -> Multigraph:
         raise ConfigError(f"graph file {path}: adjacency must be a list of rows")
     if isinstance(data, dict) and "n" in data and data["n"] != len(adj):
         raise ConfigError(f"graph file {path}: 'n'={data['n']} but adjacency has {len(adj)} rows")
-    if any(isinstance(v, int) and v not in _INT64 for row in adj for v in row):
-        raise ConfigError(f"graph file {path}: adjacency entry outside the int64 range")
     return Multigraph.from_adjacency(adj)
 
 
@@ -75,9 +74,13 @@ def _parse_divisor(text: str, n: int) -> Divisor:
         raise ConfigError(f"divisor {text!r} is not a comma-separated integer list")
     if len(coeffs) != n:
         raise ConfigError(f"divisor has {len(coeffs)} entries, graph has {n} vertices")
-    if any(c not in _INT64 for c in coeffs):
-        raise ConfigError(f"divisor {text!r} has an entry outside the int64 range")
-    return Divisor(coeffs)
+    return _check_int64(Divisor(coeffs), f"divisor {text!r}")
+
+
+def _check_int64(D: Divisor, what: str) -> Divisor:
+    if any(c not in _INT64 for c in D.coeffs) or sum(D.coeffs) not in _INT64:
+        raise ConfigError(f"{what} has an entry or degree outside the int64 range")
+    return D
 
 
 def _config(args: argparse.Namespace, **fixed) -> ExperimentConfig:
@@ -132,6 +135,7 @@ def _reproducer(G: Multigraph, D: Divisor, extra: dict | None = None) -> None:
 def _cmd_rr_check(args: argparse.Namespace, toric: bool) -> int:
     G = _load_graph(args.graph)
     D = _parse_divisor(args.divisor, G.n)
+    _check_int64(canonical_divisor(G) - D, "K - D")
     if toric:
         cfg = _config(args).toric_config()
         memo = ToricMemo(G, cfg)

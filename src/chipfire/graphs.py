@@ -153,7 +153,10 @@ def _validate_adjacency(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
                 raise InvalidGraphError(f"entry ({i}, {j}) is negative")
         if row[i] != 0:
             raise InvalidGraphError(f"loop at vertex {i}: diagonal must be zero")
-        out.append(tuple(int(v) for v in row))
+        row = tuple(int(v) for v in row)
+        if sum(row) >= 1 << 63:
+            raise InvalidGraphError(f"vertex {i} has degree outside the int64 range")
+        out.append(row)
     for i in range(n):
         for j in range(i + 1, n):
             if out[i][j] != out[j][i]:

@@ -81,8 +81,8 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
     f = _as_ints(f)
     if len(f) != G.n:
         raise ValueError(f"firing vector has {len(f)} entries, graph has {G.n} vertices")
-    moved = laplacian(G) @ np.array(f, dtype=np.int64)
-    return Divisor(tuple(int(c) + int(m) for c, m in zip(D.coeffs, moved)))
+    moved = (sum(map(mul, row, f)) for row in laplacian(G).tolist())
+    return Divisor(tuple(c + m for c, m in zip(D.coeffs, moved)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +270,28 @@ def _effective_representative(L: np.ndarray, d: np.ndarray) -> np.ndarray | None
 
     Baker-Norine greedy algorithm.  A debtor borrows as many times as its
     own debt needs in one step; that is the same as choosing it again
-    and again while it stays in debt.
+    and again while it stays in debt.  It runs over Python ints, since
+    debts can pass int64 on the way.  The representative is effective
+    with d's degree, so it fits int64 whenever the degree does; a degree
+    of 2^63 or more raises ValueError.
     """
-    if d.sum() < 0:
+    d = d.tolist()
+    total = sum(d)
+    if total < 0:
         return None
-    d = d.copy()
-    borrowed = np.zeros(len(d), dtype=bool)
+    if total >= 1 << 63:
+        raise ValueError(f"divisor degree {total} is outside the int64 range")
+    L = L.tolist()
+    borrowed = set()
     while True:
-        debtors = np.flatnonzero(d < 0)
-        if len(debtors) == 0:
-            return d
-        if borrowed.all():
+        v = next((v for v, c in enumerate(d) if c < 0), None)
+        if v is None:
+            return np.array(d, dtype=np.int64)
+        if len(borrowed) == len(d):
             return None
-        v = debtors[0]
-        d -= (d[v] // L[v, v]) * L[:, v]  # ceil(-d[v] / deg(v)) borrowings
-        borrowed[v] = True
+        times = d[v] // L[v][v]  # -ceil(-d[v] / deg(v)) borrowings
+        d = [c - times * row[v] for c, row in zip(d, L)]
+        borrowed.add(v)
 
 
 def _subset_moves(L: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -83,25 +83,20 @@ def _dominance_blocks(removals: np.ndarray, members: np.ndarray):
     dom starts as the 2-D comparison of the first coordinates, and the
     comparison of each other coordinate is ANDed into it in place, so
     each temporary is 2-D, one per coordinate.  Each member coordinate
-    is read as one contiguous row of members.T.  A chunk's dom spans
-    every member, so it holds at most ``_ELEMENT_BUDGET`` entries while
-    |D| does; past that a chunk is one removal, and its comparisons run
-    in column blocks of the budget.
+    is read as one contiguous row of members.T.  Chunks hold as many
+    removals as keep dom within ``_ELEMENT_BUDGET`` entries, and at
+    least one; a one-removal dom is |D| entries, a byte per member
+    against the 16n bytes the scan already holds per member.
     """
     n = removals.shape[1]
     rows = max(1, _ELEMENT_BUDGET // len(members))
-    cols = max(1, _ELEMENT_BUDGET // rows)
     by_coordinate = np.ascontiguousarray(members.T)
     for start in range(0, len(removals), rows):
         chunk = removals[start : start + rows]
         wanted = chunk.T[:, :, None]
-        dom = np.empty((len(chunk), len(members)), dtype=bool)
-        for m0 in range(0, len(members), cols):
-            block = by_coordinate[:, m0 : m0 + cols]
-            part = dom[:, m0 : m0 + cols]
-            np.less_equal(wanted[0], block[0], out=part)
-            for k in range(1, n):
-                part &= wanted[k] <= block[k]
+        dom = wanted[0] <= by_coordinate[0]
+        for k in range(1, n):
+            dom &= wanted[k] <= by_coordinate[k]
         yield chunk, dom
 
 

@@ -127,6 +127,41 @@ def test_divisor_entry_past_int64(c4_file, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, divisor",
+    [
+        ("rank", f"{(1 << 63) - 1},1,0,0"),
+        ("rank", f"{1 << 62},{1 << 62},0,0"),
+        ("rank", f"{-(1 << 63)},-1,0,0"),
+        # D's degree fits, K - D's degree is 2^63
+        ("rr-check", f"{1 - (1 << 63)},0,0,-1"),
+        ("toric-rr-check", f"{1 - (1 << 63)},0,0,-1"),
+        # K - D has the entry 2^63
+        ("rr-check", f"{-(1 << 63)},0,0,0"),
+    ],
+)
+def test_divisor_degree_past_int64(c4_file, capsys, monkeypatch, command, divisor):
+    # int64 would read these degrees as wrapped, giving a rank of -1, a
+    # reduction that does not end, or a false violation; the CLI
+    # rejects them before any rank is computed
+    def no_rank(*args):
+        raise AssertionError("rank computed")
+
+    monkeypatch.setattr(cli, "rank", no_rank)
+    monkeypatch.setattr(cli, "toric_rank", no_rank)
+    assert main([command, "--graph", c4_file, f"--divisor={divisor}"]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
+def test_vertex_degree_past_int64(tmp_path, capsys):
+    # every entry fits int64, vertex 0's degree 2^63 does not
+    half = 1 << 62
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"adj": [[0, half, half], [half, 0, 1], [half, 1, 0]]}))
+    assert main(["rr-check", "--graph", str(path), "--divisor", "1,0,0"]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
 def test_adjacency_entry_past_int64(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"adj": [[0, 1 << 63], [1 << 63, 0]]}))

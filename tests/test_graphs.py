@@ -93,6 +93,15 @@ def test_degree():
             cf.degree(bad)
 
 
+def test_vertex_degree_past_int64_is_rejected():
+    # the Laplacian is int64, where a degree of 2^62 + 2^62 wraps to -2^63
+    half = 1 << 62
+    with pytest.raises(InvalidGraphError, match="int64"):
+        Multigraph.from_adjacency([[0, half, half], [half, 0, 1], [half, 1, 0]])
+    G = Multigraph.from_adjacency([[0, half, half - 1], [half, 0, 1], [half - 1, 1, 0]])
+    assert cf.laplacian(G)[0, 0] == (1 << 63) - 1
+
+
 def test_multigraph_validation():
     with pytest.raises(InvalidGraphError):
         Multigraph.from_adjacency([])

@@ -40,6 +40,29 @@ def test_apply_firing_single_borrow():
     assert out.coeffs == (-1, 2, -1)
 
 
+def test_apply_firing_is_exact_past_int64():
+    # L f is summed over Python ints: int64 would wrap the middle entry
+    # to -2^63, and an entry of 2^70 would not convert at all
+    G = cf.path_graph(3)
+    assert apply_firing(G, (0, 0, 0), (0, 1 << 62, 0)).coeffs == (-(1 << 62), 1 << 63, -(1 << 62))
+    assert apply_firing(G, (1, 0, 0), (1 << 70, 0, 0)).coeffs == (1 + (1 << 70), -(1 << 70), 0)
+
+
+def test_reduction_is_exact_past_int64():
+    # D ~ (1, 0, 0, 0) on a path.  In int64 the reduction wraps on the
+    # way, to an "effective" row of entries near 2^63 whose degree reads
+    # 1 only mod 2^64, and the walk from it does not end
+    G = cf.path_graph(4)
+    D = Divisor(
+        (5593949872585389043, -4602849981370987337, -7401443257009722823, 6410343365795321118)
+    )
+    assert cf.degree(D) == 1
+    rep = linsys._effective_representative(cf.laplacian(G), D.as_array())
+    assert sum(rep.tolist()) == 1 and (rep >= 0).all()
+    want = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    assert linsys._walk_members(G, D).tolist() == want
+
+
 def test_apply_firing_rejects_non_integers():
     G = cf.path_graph(2)
     with pytest.raises(TypeError):

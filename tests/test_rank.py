@@ -120,11 +120,21 @@ def test_rank_matches_brute_force():
             assert rank(G, coeffs).rank == brute_rank(G, coeffs), (G.adj, coeffs)
 
 
+def test_rank_reads_the_degree_exactly():
+    # int64 sums these degrees to 2^63 - 1 and to -2^63: the first
+    # would read as nonnegative and the reduction would not end, the
+    # second as negative and give a rank of -1
+    assert rank(cf.cycle_graph(4), (-(1 << 63), -1, 0, 0)).rank == -1
+    assert not cf.is_effective_equivalent(cf.cycle_graph(4), (-(1 << 63), -1, 0, 0))
+    with pytest.raises(ValueError, match="int64"):
+        rank(cf.cycle_graph(4), ((1 << 63) - 1, 1, 0, 0))
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64])
 def test_rank_under_small_element_budget(monkeypatch, budget):
-    # The budget chunks the domination test along removals and members
-    # (budget 1 forces one removal against one member at a time); ranks
-    # and witnesses of rank and toric_rank must not depend on it.
+    # The budget chunks the domination test along removals (budget 1
+    # forces one removal at a time against every member); ranks and
+    # witnesses of rank and toric_rank must not depend on it.
     cfg = cf.ToricConfig(trials=1)
     cases = [
         (G, coeffs)
@@ -143,7 +153,7 @@ def test_rank_under_small_element_budget(monkeypatch, budget):
 def test_dominance_blocks_match_the_broadcast(monkeypatch, budget, members):
     # 20 members under a budget of 64 split the removals into chunks of
     # three; 150 (and 7 under 5) pass the budget, so each chunk is one
-    # removal and its comparisons run in column blocks
+    # removal compared against every member at once
     rng = np.random.default_rng(budget + members)
     removals = rng.integers(0, 4, size=(40, 5))
     block = rng.integers(0, 4, size=(members, 5))
