@@ -62,8 +62,10 @@ def _load_graph(path: str) -> Multigraph:
         raise ConfigError(f"graph file {path} must hold an object or a matrix")
     if not isinstance(adj, list) or not all(isinstance(row, list) for row in adj):
         raise ConfigError(f"graph file {path}: adjacency must be a list of rows")
-    if isinstance(data, dict) and "n" in data and data["n"] != len(adj):
-        raise ConfigError(f"graph file {path}: 'n'={data['n']} but adjacency has {len(adj)} rows")
+    # "n", when given, is the row count as a JSON integer: not true, not 2.0
+    n = data.get("n", len(adj)) if isinstance(data, dict) else len(adj)
+    if type(n) is not int or n != len(adj):
+        raise ConfigError(f"graph file {path}: 'n'={n!r} but adjacency has {len(adj)} rows")
     return Multigraph.from_adjacency(adj)
 
 

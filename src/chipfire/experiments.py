@@ -431,21 +431,10 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return {name: getattr(config, name) for name in _ECHO_FIELDS}
 
 
-def _int_cells(values: np.ndarray) -> list[str]:
-    """str() of each entry.  Columns here take few distinct values, so
-    each value in their range is spelled once and looked up."""
-    if len(values) == 0:
-        return []
-    lo, hi = int(values.min()), int(values.max())
-    if hi - lo > len(values):
-        return list(map(str, values.tolist()))
-    spelled = np.array([str(x) for x in range(lo, hi + 1)], dtype=object)
-    return spelled[values - lo].tolist()
-
-
 def _spell_divisors(divisors: np.ndarray, separator: str) -> list[str]:
-    """Each row's entries joined by separator."""
-    return list(map(separator.join, zip(*map(_int_cells, divisors.T))))
+    """Each row's entries, spelled by str, joined by separator.  The
+    exhaustive sweep spells each window table once (_divisor_cells)."""
+    return list(map(separator.join, zip(*(map(str, col) for col in divisors.T.tolist()))))
 
 
 @lru_cache(maxsize=64)
@@ -898,7 +887,7 @@ def run_exhaustive(config: ExperimentConfig) -> ExperimentReport:
     )
     tasks = [(gid, G.adj, config) for gid, G in enumerate(graphs)]
     if config.workers > 1 and len(tasks) > 1:
-        with Pool(config.workers) as pool:
+        with Pool(min(config.workers, len(tasks))) as pool:
             return _assemble(config, graphs, pool.imap(_graph_worker, tasks), t0)
     return _assemble(config, graphs, map(_graph_worker, tasks), t0)
 

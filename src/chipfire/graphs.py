@@ -109,7 +109,12 @@ class Divisor:
         return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
+        """The coefficients as an int64 array; ValueError when one is
+        outside the int64 range."""
+        try:
+            return np.array(self.coeffs, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"divisor {self.coeffs} has an entry outside int64") from None
 
     def _check_length(self, other: "Divisor") -> None:
         if len(other.coeffs) != len(self.coeffs):

@@ -32,18 +32,18 @@ unreduced (delayed modular reduction, as in Dumas-Giorgi-Pernet's
 FFLAS-FFPACK), so their entries stay below rows * p^2, and it stops
 each update at the pivot row's last nonzero entry; back-substitution
 then gives the kernel basis at the pivot columns, one vector per free
-column, and both toric modes read their verdicts off it.  The
-(config.seed, G.adj) prefix of every sample seed and G's edge list come
-from a small bounded cache per graph and seed.  The prime is checked
-once, where it enters (ToricConfig and the two public matrix builders);
-the per-trial matrices of toric_effective_test run no primality test.
+column, and both toric modes read their verdicts off it.  Each test
+hashes the (config.seed, G.adj, d.coeffs) prefix of its sample seeds
+once, and each trial only its number.  The prime is checked once,
+where it enters (ToricConfig and the two public matrix builders); the
+per-trial matrices of toric_effective_test run no primality test.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from operator import mul, sub
 from typing import Sequence
@@ -452,14 +452,6 @@ def _single_trial(
     return all(support), kdim, support
 
 
-@lru_cache(maxsize=8)
-def _graph_trials(G: Multigraph, seed: int) -> tuple[hashlib.blake2b, tuple[tuple[int, int], ...]]:
-    """The derive_seed hasher fed (seed, G.adj), which callers copy and
-    never update, and G's canonical edges.  The bound keeps the few
-    graphs a sweep or a rank alternates between."""
-    return _feed(hashlib.blake2b(digest_size=8), seed, G.adj), G.edges()
-
-
 def toric_effective_test(
     G: Multigraph, d: DivisorLike, config: ToricConfig | None = None
 ) -> ToricOutcome:
@@ -474,12 +466,11 @@ def toric_effective_test(
     d = _coerce_divisor(d, G.n)
     if not d.is_effective():
         raise NonEffectiveDivisorError(f"divisor {d.coeffs} has a negative coefficient")
-    prefix, edges = _graph_trials(G, config.seed)
     # derive_seed(config.seed, G.adj, d.coeffs, trial), hashing the
-    # (config.seed, G.adj) prefix once per graph and d.coeffs once per test
-    shared = _feed(prefix.copy(), d.coeffs)
+    # shared prefix once per test and the trial once per sample
+    shared = _feed(hashlib.blake2b(digest_size=8), config.seed, G.adj, d.coeffs)
     spans = _block_spans(d)
-    runs = [(spans[i], spans[j]) for i, j in edges]
+    runs = [(spans[i], spans[j]) for i, j in G.edges()]
     trials = []
     for trial in range(config.trials):
         sample_seed = int.from_bytes(_feed(shared.copy(), trial).digest(), "big")

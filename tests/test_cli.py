@@ -176,6 +176,18 @@ def test_graph_n_mismatch(tmp_path, capsys):
     assert "'n'=3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "graph", [{"adj": [[0]], "n": True}, {"adj": [[0, 2], [2, 0]], "n": 2.0}]
+)
+def test_graph_n_must_be_an_integer(tmp_path, capsys, graph):
+    # true == 1 and 2.0 == 2 in Python, but neither is a row count
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    divisor = ",".join(["0"] * len(graph["adj"]))
+    assert main(["rank", "--graph", str(path), "--divisor", divisor]) == 2
+    assert "'n'=" in capsys.readouterr().err
+
+
 def test_graph_missing_adj_key(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"matrix": [[0, 1], [1, 0]]}))

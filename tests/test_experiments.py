@@ -332,6 +332,34 @@ def test_reports_byte_identical_across_runs_and_workers(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("multiplicity", [1, 2])
+def test_pool_size_is_capped_at_the_graph_count(monkeypatch, tmp_path, multiplicity):
+    # 2 and 3 graphs with workers=8: one process per graph.  The fake
+    # pool records its size and runs the tasks here, so none start.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    cfg = _tiny_exhaustive(max_multiplicity=multiplicity, output_format="csv")
+    report = run_exhaustive(dataclasses.replace(cfg, output_path=str(serial)))
+    monkeypatch.setattr(experiments, "Pool", FakePool)
+    run_exhaustive(dataclasses.replace(cfg, output_path=str(pooled), workers=8))
+    assert sizes == [len(report.graphs)] and len(report.graphs) == multiplicity + 1
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
 def test_run_random_sweep():
     cfg = ExperimentConfig(
         mode="random-sweep", cases=3, min_genus=2, n_min=4, n_max=5, seed=11

@@ -130,6 +130,18 @@ def test_rank_reads_the_degree_exactly():
         rank(cf.cycle_graph(4), ((1 << 63) - 1, 1, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "func", [rank, cf.linear_system, cf.is_effective_equivalent, cf.toric_rank]
+)
+@pytest.mark.parametrize(
+    "coeffs", [(1 << 63, 0, 0, 0), (-(1 << 63) - 1, 0, 0, 0), ((1 << 63) - 1, 1, 0, 0)]
+)
+def test_divisors_past_int64_raise_one_error(func, coeffs):
+    # an entry outside int64 and a degree outside it raise the same error
+    with pytest.raises(ValueError, match="int64"):
+        func(cf.cycle_graph(4), coeffs)
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64])
 def test_rank_under_small_element_budget(monkeypatch, budget):
     # The budget chunks the domination test along removals (budget 1

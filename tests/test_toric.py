@@ -138,8 +138,7 @@ def test_trial_seeds_are_derive_seed_of_each_trial(monkeypatch):
     assert out.sample_seed in seen
 
 
-def test_per_graph_cache_is_independent_of_config_and_order():
-    cache = cf.toric._graph_trials
+def test_outcomes_are_independent_of_config_and_order():
     G = cf.complete_graph(4)
     base = ToricConfig()
     configs = [
@@ -155,12 +154,10 @@ def test_per_graph_cache_is_independent_of_config_and_order():
     def outcomes(order, graph=G):
         return {i: [toric_effective_test(graph, d, configs[i]) for d in divisors] for i in order}
 
-    cache.cache_clear()
     forward = outcomes(range(len(configs)))
     backward = outcomes(reversed(range(len(configs))))
     cold = {}
     for i in range(len(configs)):
-        cache.cache_clear()
         cold.update(outcomes([i]))
     assert forward == backward == cold
     # an equal graph built anew reads the same outcomes
@@ -168,12 +165,6 @@ def test_per_graph_cache_is_independent_of_config_and_order():
     for i, cfg in enumerate(configs):
         for d, o in zip(divisors, forward[i]):
             assert o.sample_seed in {derive_seed(cfg.seed, G.adj, d, t) for t in range(cfg.trials)}
-    # more graphs than the cache holds: it stays within its bound
-    maxsize = cache.cache_info().maxsize
-    for k in range(3, 3 + 2 * maxsize):
-        toric_effective_test(cf.cycle_graph(k), (1,) + (0,) * (k - 1))
-    assert cache.cache_info().currsize == maxsize
-    assert outcomes(range(len(configs))) == forward
 
 
 def test_toric_config_validation():
