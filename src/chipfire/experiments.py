@@ -28,6 +28,7 @@ import numpy as np
 from .graphs import (
     Divisor,
     Multigraph,
+    _as_ints,
     _connected,
     canonical_divisor,
     genus,
@@ -212,8 +213,11 @@ def random_connected_graph(n: int, rng_seed: int) -> Multigraph:
 
     Each upper-triangle entry is an independent fair coin, drawn in
     row-major order from random.Random(rng_seed), so the result is a
-    pure function of (n, rng_seed).
+    pure function of (n, rng_seed).  Both must be integers (numpy
+    integers included): a float or a bool raises TypeError instead of
+    being hashed or read as 0/1.
     """
+    n, rng_seed = _as_ints((n, rng_seed))
     if n < 1:
         raise ValueError("need at least one vertex")
     rng = random.Random(rng_seed)
@@ -246,7 +250,9 @@ def _unrank_composition(n: int, d: int, index: int) -> tuple[int, ...]:
 
 def random_effective_divisor(n: int, d: int, rng_seed: int) -> Divisor:
     """Uniform effective divisor of degree d on n vertices (exact
-    uniformity via unranking, no rejection)."""
+    uniformity via unranking, no rejection).  Arguments are checked as
+    in ``random_connected_graph``."""
+    n, d, rng_seed = _as_ints((n, d, rng_seed))
     if n < 1 or d < 0:
         raise ValueError(f"no effective divisor of degree {d} on {n} vertices")
     total = comb(d + n - 1, n - 1)
@@ -278,6 +284,9 @@ def enumerate_treeless_graphs(
     genus_range; attaching pendant trees changes neither side of the
     identity under test, so only these cores are worth sweeping.
     Deterministic order: n ascending, then genus, then adjacency matrix.
+    Once iteration starts, an argument that is not an integer raises
+    TypeError, and an empty or negative genus_range or a
+    max_multiplicity below 1 raises ValueError.
 
     The search is degree-sorted (the pruning behind orderly generation):
     the upper-triangle cells are set in row-major order, so vertex i's
@@ -289,7 +298,11 @@ def enumerate_treeless_graphs(
     degree-sorted form is one the search reaches, and leaves arrive in
     lexicographic order because multiplicities ascend cell by cell.
     """
-    g_lo, g_hi = genus_range
+    max_n, g_lo, g_hi, max_multiplicity = _as_ints((max_n, *genus_range, max_multiplicity))
+    if g_lo > g_hi or g_lo < 0:
+        raise ValueError(f"genus range {genus_range} is empty or negative")
+    if max_multiplicity < 1:
+        raise ValueError("max_multiplicity must be at least 1")
     for n in range(2, max_n + 1):
         cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for g in range(max(g_lo, 1), g_hi + 1):  # genus 0 means a tree: has leaves

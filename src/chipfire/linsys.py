@@ -116,28 +116,12 @@ def apply_firing(G: Multigraph, D: DivisorLike, f: FiringVector) -> Divisor:
 
 def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Diagonalize the integer matrix with row ops tracked: returns (U, diag)
-    with U M V diagonal for some unimodular V (V is discarded)."""
-    A = [list(map(int, row)) for row in M]
-    n = len(A)
-    m = len(A[0])
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    with U M V diagonal for some unimodular V (V is discarded).
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def add_row(src, dst, q):  # row[dst] += q * row[src]
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
-
+    The row operations run on [M | I], so its right half becomes U; the
+    column operations touch only the first m columns."""
+    n, m = len(M), len(M[0])
+    A = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
     for t in range(min(n, m)):
         while True:
             pi, pj, pv = -1, -1, 0
@@ -148,33 +132,32 @@ def _snf_left(M: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
                         pi, pj, pv = i, j, v
             if pv == 0:
                 break
-            if pi != t:
-                swap_rows(t, pi)
+            A[t], A[pi] = A[pi], A[t]
             if pj != t:
-                swap_cols(t, pj)
+                for row in A:
+                    row[t], row[pj] = row[pj], row[t]
             if A[t][t] < 0:
                 A[t] = [-x for x in A[t]]
-                U[t] = [-x for x in U[t]]
             dirty = False
-            for i in range(n):
-                if i != t and A[i][t]:
-                    q = -(A[i][t] // A[t][t])
-                    add_row(t, i, q)
-                    if A[i][t]:
-                        dirty = True
-            for j in range(m):
-                if j != t and A[t][j]:
-                    q = -(A[t][j] // A[t][t])
-                    add_col(t, j, q)
-                    if A[t][j]:
-                        dirty = True
-            # the row loop leaves row t alone and the column loop column t,
-            # so dirty says whether both are clear
+            for i in range(t + 1, n):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+                    dirty = dirty or A[i][t] != 0
+            for j in range(t + 1, m):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    for row in A:
+                        row[j] -= q * row[t]
+                    dirty = dirty or A[t][j] != 0
+            # rows and columns before t are clear already; the row loop
+            # leaves row t alone and the column loop column t, so dirty
+            # says whether both are clear
             if not dirty:
                 break
         # pivot settled; continue with the trailing block
     diag = tuple(A[i][i] if i < m else 0 for i in range(min(n, m)))
-    return tuple(tuple(row) for row in U), diag
+    return tuple(tuple(row[m:]) for row in A), diag
 
 
 @lru_cache(maxsize=256)
@@ -252,8 +235,8 @@ class LinearSystem:
     def __iter__(self):
         return iter(self.divisors)
 
-    def __contains__(self, d: object) -> bool:
-        return d in self.divisors
+    def __contains__(self, d: DivisorLike) -> bool:
+        return _coerce_divisor(d, len(self.base)) in self.divisors
 
     def is_empty(self) -> bool:
         return not self.divisors
@@ -428,13 +411,9 @@ def linear_system(G: Multigraph, D: DivisorLike) -> LinearSystem:
     """All effective divisors linearly equivalent to D, or empty.
 
     A member that an earlier call returned comes back as the same
-    Divisor while the ``_member`` cache holds it.  A system with more
-    members than that cache holds builds its own, so it neither evicts
-    one entry per member nor flushes what smaller systems share."""
+    Divisor while the ``_member`` cache holds it."""
     D = _coerce_divisor(D, G.n)
-    rows = _members(G, D).tolist()
-    shared = len(rows) <= _member.cache_parameters()["maxsize"]
-    return LinearSystem(D, tuple(map(_member if shared else _divisor_from_ints, map(tuple, rows))))
+    return LinearSystem(D, tuple(map(_member, map(tuple, _members(G, D).tolist()))))
 
 
 def is_effective_equivalent(G: Multigraph, D: DivisorLike) -> bool:

@@ -10,6 +10,7 @@ tolerances, not aspirations, and every check here runs well inside them
 on one desktop core.
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -231,6 +232,11 @@ def test_criterion_5_degree_g_certificates():
     )
 
 
+# sha256 of the criterion-6 CSV report; any change to a case, a verdict
+# or the report format changes it
+CRITERION_6_SHA256 = "d1668ffa4bff1b97700cebf34aedc55f718a20c0e1817689a5ac51bb326a1eca"
+
+
 def test_criterion_6_exhaustive_sweep(tmp_path):
     t0 = time.perf_counter()
     out_path = tmp_path / "sweep.csv"
@@ -245,7 +251,13 @@ def test_criterion_6_exhaustive_sweep(tmp_path):
         workers=1,
     )
     report = run_exhaustive(config)
-    trailer = out_path.read_text().rstrip().rsplit("\n", 1)[-1]
+    # the report is about 184 MB: hash it in chunks, read the trailer off its end
+    digest = hashlib.sha256()
+    with out_path.open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+        f.seek(-4096, 2)
+        trailer = f.read().decode().rstrip().rsplit("\n", 1)[-1]
     elapsed = time.perf_counter() - t0
     ok = (
         report.violation_count == 0
@@ -254,6 +266,7 @@ def test_criterion_6_exhaustive_sweep(tmp_path):
         and report.case_count == 3767284
         and "violations=0" in trailer
         and trailer.startswith("# summary")
+        and digest.hexdigest() == CRITERION_6_SHA256
         and elapsed < 1800
     )
     _report(

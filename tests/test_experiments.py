@@ -107,6 +107,42 @@ def test_random_effective_divisor():
             random_effective_divisor(n, d, rng_seed=0)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, None, "3"])
+def test_generators_reject_non_integer_arguments(bad):
+    # random.Random would hash a float seed and read a bool as 0 or 1,
+    # and range and comb read a bool count as 0 or 1 too
+    calls = (
+        lambda: random_connected_graph(3, bad),
+        lambda: random_connected_graph(bad, 0),
+        lambda: random_effective_divisor(3, 2, bad),
+        lambda: random_effective_divisor(bad, 2, 0),
+        lambda: random_effective_divisor(3, bad, 0),
+        lambda: list(enumerate_treeless_graphs(bad, (1, 1))),
+        lambda: list(enumerate_treeless_graphs(3, (1, bad))),
+        lambda: list(enumerate_treeless_graphs(3, (1, 1), bad)),
+    )
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_random_generators_take_numpy_integer_seeds():
+    assert random_connected_graph(6, np.int64(4)) == random_connected_graph(6, 4)
+    assert random_effective_divisor(5, 7, np.int32(9)) == random_effective_divisor(5, 7, 9)
+
+
+@pytest.mark.parametrize("max_multiplicity", [0, -1])
+def test_enumerate_treeless_rejects_multiplicity_below_one(max_multiplicity):
+    with pytest.raises(ValueError, match="max_multiplicity"):
+        list(enumerate_treeless_graphs(3, (1, 1), max_multiplicity))
+
+
+@pytest.mark.parametrize("genus_range", [(3, 1), (-2, -1), (-1, 1)])
+def test_enumerate_treeless_rejects_empty_or_negative_genus_ranges(genus_range):
+    with pytest.raises(ValueError, match="genus range"):
+        list(enumerate_treeless_graphs(4, genus_range))
+
+
 def test_enumerate_treeless_genus_one_simple():
     got = list(enumerate_treeless_graphs(4, (1, 1), max_multiplicity=1))
     forms = {canonical_adjacency(G.adj) for G in got}

@@ -104,6 +104,18 @@ def test_linear_system_container_protocol():
     assert ls.base == Divisor((1, 0))
 
 
+def test_membership_reads_every_divisor_form():
+    # linear_system takes a tuple or a list for D, and so does `in`
+    G = cf.cycle_graph(4)
+    ls = linear_system(G, (2, 0, 0, 0))
+    assert (2, 0, 0, 0) in ls and [0, 1, 0, 1] in ls and Divisor((0, 0, 2, 0)) in ls
+    assert (1, 1, 0, 0) not in ls and [0, 0, 0, 2] not in ls
+    with pytest.raises(ValueError, match="4 vertices"):
+        (2, 0, 0) in ls
+    with pytest.raises(TypeError):
+        (2.0, 0, 0, 0) in ls
+
+
 def test_canonical_system_on_four_cycle():
     # genus 1, canonical divisor is zero: |K| = {0}
     G = cf.cycle_graph(4)
@@ -569,20 +581,6 @@ def test_shared_members_stay_within_their_cap(monkeypatch):
     assert info.currsize == 100 and info.misses == 126
     assert all(small(m.coeffs) is m for m in second)
     assert small.cache_info().hits == 70
-
-
-def test_systems_past_the_member_cap_leave_the_shared_members_alone(monkeypatch):
-    # 792 members against a cap of 100: the system builds its own
-    # Divisors, so the 70 members of a small system stay shared
-    small = _small_member_cache(monkeypatch)
-    G, D = cf.path_graph(5), Divisor((0, 4, 0, 0, 0))
-    before = linear_system(G, D)
-    big = linear_system(cf.path_graph(6), (0, 3, 0, 4, 0, 0))
-    assert len(big) == comb(7 + 5, 5) == 792
-    assert list(big) == [Divisor(tuple(r)) for r in linsys._members(cf.path_graph(6), big.base).tolist()]
-    assert small.cache_info().misses == small.cache_info().currsize == 70
-    again = linear_system(G, D)
-    assert len(again) == 70 and all(a is b for a, b in zip(again, before))
 
 
 def test_member_arrays_are_read_only():
