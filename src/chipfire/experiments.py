@@ -38,7 +38,7 @@ from .rank import rank
 from .toric import (
     ToricConfig,
     ToricMemo,
-    _check_int_fields,
+    _check_field_types,
     derive_seed,
     toric_rank,
 )
@@ -99,7 +99,7 @@ class ExperimentConfig:
     max_multiplicity: int = 3
 
     def validate(self) -> None:
-        _check_int_fields(self, ConfigError)
+        _check_field_types(self, ConfigError)
         if self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.output_format not in _FORMATS:
@@ -701,31 +701,27 @@ def _recurse_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) ->
     effective classes one degree up are grouped by class code, in one
     batch per degree.  T is decided only on the given classes and on the
     children of classes where it holds.  |c| comes from one batch read
-    per degree (``linsys._class_members``).  Then the ranks are filled
-    in from degree 0 up.
+    per degree (``linsys._class_members``).  Then the ranks are solved
+    from degree 0 up, one array per degree.
     """
     n = G.n
     eye = np.eye(n, dtype=np.int64)
     degrees = reps.sum(axis=1)
-    top = int(degrees.max(initial=-1))
-    toric = memo is not None
-    # position of each given row among the classes of its degree
-    position = np.zeros(len(reps), dtype=np.int64)
-    # per degree, top down: effective, T, own disagreement, and the
-    # positions of the children of the effective classes one degree down
-    descent: list[list[np.ndarray]] = []
+    # per degree, top down: the given rows and their classes; effective,
+    # T and own disagreement per class; and the classes of the children
+    # of the effective classes, one degree down.  Below degree 0 every
+    # child is the one class of degree -1, at position 0
+    descent = []
     # the children of the degree above, and whether T holds at their parent
     pending, pending_toric = reps[:0], np.zeros(0, dtype=bool)
-    for k in range(top, -1, -1):
+    for k in range(int(degrees.max(initial=-1)), -1, -1):
         given = np.flatnonzero(degrees == k)
         rows = np.concatenate([reps[given], pending])
-        codes = _class_codes(G, rows)
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        position[given] = inverse[: len(given)]
+        _, first, inverse = np.unique(_class_codes(G, rows), return_index=True, return_inverse=True)
         if descent:
-            descent[-1][3] = inverse[len(given) :].reshape(-1, n)
+            descent[-1][-1] = inverse[len(given) :].reshape(-1, n)
         wanted = np.zeros(len(first), dtype=bool)
-        wanted[inverse[: len(given)]] = toric
+        wanted[inverse[: len(given)]] = memo is not None
         wanted[inverse[len(given) :][pending_toric]] = True
         reps_k = rows[first]
         members = _class_members(G, k, reps_k)
@@ -736,31 +732,24 @@ def _recurse_classes(G: Multigraph, memo: ToricMemo | None, reps: np.ndarray) ->
             before = memo.disagreement_reads
             passes[j] = memo.survives(members[j])
             own[j] = memo.disagreement_reads > before
-        # set by the degree below; below degree 0 every child is the one
-        # class of degree -1, at position 0
-        children = np.zeros((effective.sum(), n), dtype=np.int64)
-        descent.append([effective, passes, own, children])
+        descent.append([given, inverse[: len(given)], effective, passes, own, [[0]]])
         pending = (reps_k[effective][:, None, :] - eye).reshape(-1, n)
         pending_toric = np.repeat(passes[effective], n)
-    # bottom-up; degree -1 is one class with no effective member
-    below = np.array([-1]), np.array([-1]), np.array([False])
-    solved = []
-    for effective, passes, own, children in reversed(descent):
-        r_below, t_below, d_below = below
-        r = np.full(len(effective), -1)
-        r[effective] = 1 + r_below[children].min(axis=1)
-        t = np.full(len(effective), -1)
-        tested = children[passes[effective]]
-        t[passes] = 1 + t_below[tested].min(axis=1)
-        d = own.copy()
-        d[passes] |= d_below[tested].any(axis=1)
-        below = r, t, d
-        solved.append(np.stack(below, axis=1))
-    per_class = np.zeros((len(reps), 3), dtype=np.int64)
-    per_class[:] = -1, -1, 0
-    for k, level in enumerate(solved):
-        given = degrees == k
-        per_class[given] = level[position[given]]
+    # bottom-up, one (rank, toric rank, disagreement) row per class,
+    # starting from the one class of degree -1, which has no effective
+    # member; given rows of negative degree keep that row
+    sol = np.array([[-1, -1, 0]], dtype=np.int64)
+    per_class = np.tile(sol, (len(reps), 1))
+    for given, positions, effective, passes, own, children in reversed(descent):
+        below = sol[children]
+        least = 1 + below.min(axis=1)
+        tested = passes[effective]
+        sol = np.full((len(effective), 3), -1, dtype=np.int64)
+        sol[:, 2] = own
+        sol[effective, 0] = least[:, 0]
+        sol[effective, 1] = np.where(tested, least[:, 1], -1)
+        sol[effective, 2] |= tested & below[..., 2].any(axis=1)
+        per_class[given] = sol[positions]
     return per_class
 
 
@@ -810,9 +799,11 @@ def _solve_cases(
     )
 
 
-def _graph_cases(graph_id: int, G: Multigraph, config: ExperimentConfig) -> _CaseBlock:
+def _graph_cases(task: tuple[int, Multigraph, ExperimentConfig]) -> _CaseBlock:
     """All window divisors of every degree in range for one graph, in
-    deterministic order: degree ascending, then lexicographic."""
+    deterministic order: degree ascending, then lexicographic.  task is
+    (graph id, graph, config), one pickle for a pool worker."""
+    graph_id, G, config = task
     g = genus(G)
     deg_lo = 0 if config.degree_min is None else config.degree_min
     deg_hi = (g - 1) if config.degree_max is None else config.degree_max
@@ -821,11 +812,6 @@ def _graph_cases(graph_id: int, G: Multigraph, config: ExperimentConfig) -> _Cas
     rows = [np.empty((0, G.n), dtype=np.int64)]
     rows += (_window_table(G.n, d, window) for d, window in tables)
     return _solve_cases(graph_id, G, config, np.concatenate(rows), _recurse_classes, tables)
-
-
-def _graph_worker(args: tuple[int, tuple, ExperimentConfig]) -> _CaseBlock:
-    graph_id, adj, config = args
-    return _graph_cases(graph_id, Multigraph(adj), config)
 
 
 _REPRODUCER_CAP = 100
@@ -898,11 +884,11 @@ def run_exhaustive(config: ExperimentConfig) -> ExperimentReport:
             config.max_multiplicity,
         )
     )
-    tasks = [(gid, G.adj, config) for gid, G in enumerate(graphs)]
+    tasks = [(gid, G, config) for gid, G in enumerate(graphs)]
     if config.workers > 1 and len(tasks) > 1:
         with Pool(min(config.workers, len(tasks))) as pool:
-            return _assemble(config, graphs, pool.imap(_graph_worker, tasks), t0)
-    return _assemble(config, graphs, map(_graph_worker, tasks), t0)
+            return _assemble(config, graphs, pool.imap(_graph_cases, tasks), t0)
+    return _assemble(config, graphs, map(_graph_cases, tasks), t0)
 
 
 # ---------------------------------------------------------------------------

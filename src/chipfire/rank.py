@@ -23,6 +23,7 @@ from .graphs import (
     Divisor,
     DivisorLike,
     Multigraph,
+    _as_ints,
     _coerce_divisor,
     _divisor_from_ints,
     canonical_divisor,
@@ -52,6 +53,7 @@ class RankResult:
 def effective_divisors_of_degree(n: int, d: int) -> tuple[Divisor, ...]:
     """The C(d+n-1, n-1) effective divisors of degree d on n vertices,
     lexicographically ascending."""
+    n, d = _as_ints((n, d))
     if n < 1:
         raise ValueError("need at least one vertex")
     if d < 0:
@@ -69,6 +71,7 @@ def non_effective_divisors_of_degree(n: int, d: int, window: int) -> tuple[Divis
     Despite the name the set includes the effective divisors of degree
     d; it is the finite window the exhaustive driver sweeps per degree.
     """
+    n, d, window = _as_ints((n, d, window))
     if n < 1:
         raise ValueError("need at least one vertex")
     if window < 0:

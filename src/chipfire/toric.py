@@ -85,11 +85,19 @@ class NonEffectiveDivisorError(ValueError):
     negative coefficient."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first 13 primes is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson-Webster 2017); past it
+# the test is not certified, so is_prime refuses to answer
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all inputs below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for all inputs below
+    3,317,044,064,679,887,385,961,981 (psi_13, about 3.3e24).  Raises
+    ValueError from there up."""
+    if m >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality of {m} is not certified: the test is exact below {_MR_EXACT_BELOW:,}")
     if m < 2:
         return False
     for q in _MR_BASES:
@@ -133,11 +141,14 @@ def _check_prime(prime: int) -> None:
         raise ValueError(f"prime {prime} fails the primality check")
 
 
-def _check_int_fields(obj: object, error: type[ValueError] = ValueError) -> None:
+def _check_field_types(obj: object, error: type[ValueError] = ValueError) -> None:
     """Raise error on a dataclass field annotated int, or int | None when
-    set, that holds anything but an int: bool and float included."""
+    set, that holds anything but an int (bool and float included), and on
+    one annotated bool that holds anything but a bool (0 and "no" included)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
+        if f.type == "bool" and type(value) is not bool:
+            raise error(f"{f.name} must be a bool, got {value!r}")
         if f.type == "int" or (f.type == "int | None" and value is not None):
             if type(value) is not int:
                 raise error(f"{f.name} must be an integer, got {value!r}")
@@ -193,7 +204,7 @@ class ToricConfig:
     nonzero_entries: bool = False
 
     def __post_init__(self) -> None:
-        _check_int_fields(self)
+        _check_field_types(self)
         _check_prime(self.prime)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")

@@ -227,9 +227,12 @@ def test_bad_trials_rejected(c4_file, capsys):
 
 
 def test_bad_prime_rejected(c4_file, capsys):
-    code = main(["toric-rank", "--graph", c4_file, "--divisor", "0,0,0,0", "--prime", "10"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # 10; psi_12, a composite that passes the first 12 Miller-Rabin bases;
+    # and psi_13, past the range the primality test certifies
+    for prime in ("10", "318665857834031151167461", "3317044064679887385961981"):
+        code = main(["toric-rank", "--graph", c4_file, "--divisor", "0,0,0,0", "--prime", prime])
+        assert code == 2, prime
+        assert "error:" in capsys.readouterr().err
 
 
 def test_exhaustive_command(tmp_path, capsys):

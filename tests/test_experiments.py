@@ -60,6 +60,11 @@ def test_config_validation_branches():
         dict(seed=1.5),
         dict(cases=True),
         dict(n_max=10.0),
+        # and bool fields reject anything but a bool
+        dict(toric="no"),
+        dict(toric=None),
+        dict(toric=0),
+        dict(nonzero_entries=1),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

@@ -229,6 +229,9 @@ def test_multigraph_hashable_and_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # pool workers of the exhaustive sweep receive the graph pickled
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == hash(a) and c.adj == a.adj
 
 
 def test_adjacency_array_is_writable_copy():

@@ -35,6 +35,10 @@ def test_effective_divisors_degree_zero_and_errors():
         effective_divisors_of_degree(3, -1)
     with pytest.raises(ValueError):
         effective_divisors_of_degree(0, 2)
+    # n and d are read as integers, not truncated or read as 0/1
+    for args in ((2, True), (3, 2.0), (2.0, 1), (True, 0)):
+        with pytest.raises(TypeError):
+            effective_divisors_of_degree(*args)
 
 
 def test_window_divisors_match_brute_enumeration():
@@ -59,6 +63,9 @@ def test_window_divisors_validation():
         non_effective_divisors_of_degree(0, 1, 1)
     with pytest.raises(ValueError):
         non_effective_divisors_of_degree(3, 1, -1)
+    for args in ((2, 1, True), (2.0, 1, 1), (2, 1.0, 1), (2, 1, 1.0), (True, 1, 1)):
+        with pytest.raises(TypeError):
+            non_effective_divisors_of_degree(*args)
 
 
 def test_rank_single_vertex():

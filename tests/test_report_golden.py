@@ -6,7 +6,8 @@ class-level one.  The JSON one with it off and the random-sweep digests
 were recorded from the driver that spelled every cell once per row,
 before the sinks spelled them once per class.  So any change to the
 bytes a sweep writes shows up here, not only a difference between
-reruns.
+reruns.  README's random-sweep digest pins the one sweep whose linear
+systems pass the element budget.
 """
 
 import hashlib
@@ -14,7 +15,8 @@ import json
 
 import pytest
 
-from chipfire import ExperimentConfig, run_exhaustive, run_random_sweep
+from chipfire import ExperimentConfig, linsys, run_exhaustive, run_random_sweep
+from chipfire.cli import main
 
 from .helpers import flag_verdicts
 
@@ -63,6 +65,24 @@ def test_random_sweep_report_digest(tmp_path, fmt):
         "graphs": 6, "cases": 6, "violations": 0, "anomalies": 0, "toric": True,
     }
     assert _digest(path) == RANDOM_GOLDEN[fmt]
+
+
+README_RANDOM_GOLDEN = "0e058371752f41955711010e0a864452ea3dabb25e23a061abb7cb24ddfeec32"
+
+
+def test_readme_random_sweep_report_digest(tmp_path, monkeypatch):
+    # README's random sweep: its linear systems on up to 10 vertices pass
+    # the element budget, so its digest pins the subset-firing walk, which
+    # the smaller sweeps above never reach
+    walked = []
+    real_walk = linsys._walk_members
+    monkeypatch.setattr(linsys, "_walk_members", lambda G, D: walked.append(D) or real_walk(G, D))
+    linsys._members.cache_clear()
+    path = tmp_path / "sweep.json"
+    argv = "random-sweep --cases 20 --min-genus 4 --n-min 5 --n-max 10 --seed 7 --out".split()
+    assert main([*argv, str(path)]) == 0
+    assert walked
+    assert _digest(path) == README_RANDOM_GOLDEN
 
 
 def _csv_rows(text: str) -> list:

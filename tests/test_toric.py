@@ -102,6 +102,11 @@ def test_is_prime():
     assert not is_prime(4)
     assert not is_prime(561)  # Carmichael number, a classic pseudoprime trap
     assert is_prime(DEFAULT_PRIME)
+    # psi_12 = 399165290221 * 798330580441 passes the first 12 prime bases;
+    # psi_13 passes the first 13, so the test certifies nothing from it up
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="not certified"):
+        is_prime(3317044064679887385961981)
 
 
 def test_next_prime():
@@ -178,6 +183,7 @@ def test_toric_config_validation():
     for kwargs in (
         dict(trials=2.5), dict(seed=1.5), dict(prime=10000000019.0),
         dict(trials=True), dict(seed=False), dict(prime="7"),
+        dict(nonzero_entries="no"), dict(nonzero_entries=1), dict(nonzero_entries=None),
     ):
         with pytest.raises(ValueError):
             ToricConfig(**kwargs)
